@@ -53,7 +53,8 @@ def coefficient_cap() -> int:
     return cap
 
 
-def _check_index(j: int, what: str) -> None:
+def check_index(j: int, what: str) -> None:
+    """Raise unless 0 <= j <= the current cap; NumericError above the cap."""
     if j < 0:
         raise ParameterError(f"{what} index must be nonnegative, got {j}")
     cap = coefficient_cap()
@@ -85,13 +86,13 @@ def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
 
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j as an exact rational (B_1 = -1/2)."""
-    _check_index(j, "bernoulli")
+    check_index(j, "bernoulli")
     return _bernoulli_upto(j)[j]
 
 
 def cot_coeff(j: int) -> Fraction:
     """Coefficient of pi^{2j-1} w^{2j-1} in the expansion of cot(pi*w)."""
-    _check_index(j, "cot_coeff")
+    check_index(j, "cot_coeff")
     b = _bernoulli_upto(2 * j)[2 * j]
     sign = -1 if j % 2 else 1
     return Fraction(sign * 2 ** (2 * j)) * b / math.factorial(2 * j)
@@ -99,7 +100,7 @@ def cot_coeff(j: int) -> Fraction:
 
 def csc_coeff(j: int) -> Fraction:
     """Coefficient of pi^{2j-1} w^{2j-1} in the expansion of -cosec(pi*w)."""
-    _check_index(j, "csc_coeff")
+    check_index(j, "csc_coeff")
     b = _bernoulli_upto(2 * j)[2 * j]
     sign = -1 if j % 2 else 1
     # Fraction base keeps 2^{2j-1} exact at j = 0 where the exponent is -1.
@@ -108,7 +109,7 @@ def csc_coeff(j: int) -> Fraction:
 
 def apostol_coeff_table(nu: int, t: complex) -> list[complex]:
     """All kernel coefficients A_0(t)..A_nu(t), by the complex recurrence."""
-    _check_index(nu, "apostol_coeff")
+    check_index(nu, "apostol_coeff")
     t = complex(t)
     if abs(t - 1.0) <= DEGENERACY_TOL:
         raise ParameterError(

@@ -112,10 +112,15 @@ def sin_pi_ratio(num: int, den: int) -> float:
 
 
 def cos_pi_ratio(num: int, den: int) -> float:
-    """cos(pi*num/den) for integers, folded in exact integer arithmetic."""
+    """cos(pi*num/den) for integers, folded in exact integer arithmetic.
+
+    Odd multiples of a quarter turn give exact zeros, as in sin_pi_ratio.
+    """
     k = num % (2 * den)
     if k > den:
         k = 2 * den - k
+    if 2 * k == den:
+        return 0.0
     s = 1.0
     if 2 * k > den:
         k = den - k

@@ -20,7 +20,8 @@ from trigsum import (
     triple_product_sum,
     validate_params,
 )
-from trigsum.errors import ParameterError
+from trigsum.closed_form import SLICE_CACHE_SIZE, _power_slice
+from trigsum.errors import NumericError, ParameterError
 
 
 def rel_err(got, want):
@@ -164,6 +165,45 @@ def test_theorem_imag_residual_bound():
         out = theorem_sum(spec)
         assert out.imag_residual <= 1e-9 * max(1.0, abs(out.value))
         checked += 1
+
+
+# --- the frequency-free slice cache ------------------------------------------
+
+def _bits(value):
+    return value.value.hex(), value.imag_residual.hex()
+
+
+def test_slice_cache_cold_and_warm_give_the_same_bits():
+    # cos-cot and sin-csc-2n fold m > d/2 onto the slice of d - m
+    for family, d, n in ((Family.COS_COT, 9, 3), (Family.SIN_CSC_2N, 8, 3),
+                         (Family.COS_CSC_ODD, 9, 3)):
+        specs = [validate_params(SumSpec(family, d, m, 0.137, n))
+                 for m in range(1, d) if not TRAITS[family].odd_m or m % 2]
+        for spec in specs:
+            _power_slice.cache_clear()
+            cold = theorem_sum(spec)
+            _power_slice.cache_clear()
+            for other in specs:
+                if other is not spec:
+                    theorem_sum(other)
+            assert _power_slice.cache_info().currsize == 1
+            warm = theorem_sum(spec)
+            assert _bits(warm) == _bits(cold), spec
+
+
+def test_slice_cache_keeps_the_coefficient_cap(monkeypatch):
+    spec = SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4)   # kernel index 2n - 1 = 7
+    theorem_sum(spec)
+    monkeypatch.setenv("TRIGSUM_COEFF_CAP", "6")
+    with pytest.raises(NumericError, match="order too large"):
+        theorem_sum(spec)
+
+
+def test_slice_cache_is_bounded():
+    _power_slice.cache_clear()
+    for d in range(2, SLICE_CACHE_SIZE + 12):
+        theorem_sum(SumSpec(Family.COS_COT, d, 1, 0.137 / d, 2))
+    assert _power_slice.cache_info().currsize <= SLICE_CACHE_SIZE
 
 
 # --- tangent and doubled-range forms -----------------------------------------

@@ -13,7 +13,7 @@ from trigsum import (
 )
 from trigsum.errors import NumericError, ParameterError
 from trigsum.oracle import _terms
-from trigsum.trig import cot_pi, csc_pi, sec_pi, tan_pi
+from trigsum.trig import cos_pi_ratio, cot_pi, csc_pi, sec_pi, tan_pi
 
 
 def test_known_values():
@@ -109,6 +109,32 @@ def test_terms_match_unfolded_arithmetic():
     )
     got = direct_sum(spec).value
     assert got == pytest.approx(manual, rel=1e-13)
+
+
+def test_cos_pi_ratio_is_exactly_zero_at_a_quarter_turn():
+    for num, den in ((1, 2), (3, 2), (11, 22), (-13, 26), (39, 26)):
+        assert cos_pi_ratio(num, den) == 0.0
+
+
+@pytest.mark.parametrize("family, d, m, b", [
+    (Family.COS_CSC_ODD, 22, 11, 0.137),
+    (Family.COS_CSC_2N, 52, 13, 0.5 / 52 + 0.01),
+])
+def test_quarter_turn_prefix_near_a_pole_matches_reference(family, d, m, b):
+    # the prefix vanishes at the term with the largest cosecant, where a
+    # rounded zero times csc^p would swamp the sum
+    mpmath = pytest.importorskip("mpmath")
+    n = 4
+    power = 2 * n - 1 if family is Family.COS_CSC_ODD else 2 * n
+    freq = m if family is Family.COS_CSC_ODD else 2 * m
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        want = mpmath.fsum(
+            mpmath.cos(pi * freq * j / d) * mpmath.csc(pi * (mpmath.mpf(j) / d + b)) ** power
+            for j in range(d)
+        )
+        got = direct_sum(SumSpec(family, d, m, b, n)).value
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_term_magnitude_sum_manual():
