@@ -16,8 +16,9 @@ complex; the imaginary part must come out as noise and is reported as
 the residual, never silently dropped.
 
 Only x1, x1' and m^mu/mu! depend on m. Everything else is summed once
-per (mu, nu) into a frequency-free slice, cached per (family, d, b, n),
-so a sweep over m enumerates the tuples and builds the kernel once.
+per (mu, nu) into a frequency-free slice, cached per (family, d, b, n)
+while the calls stay on one (family, d), so a sweep over m enumerates
+the tuples and builds the kernel once.
 
 Shift arguments are handled in half-turn units and reduced before the
 factor of pi, so large b*d stays accurate.
@@ -50,6 +51,14 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # theorem_sum slices kept warm; verify's order keeps len(offsets) * nmax
 # of them in use across one (family, d)
 SLICE_CACHE_SIZE = 64
+
+# the (family, d) whose slices _power_slice holds. A call on another
+# (family, d) drops them, so a walk over m reuses its slices, and a walk
+# that starts on a (family, d) other than the last one called starts
+# cold: its work does not depend on what ran before it. Concurrent
+# callers on different (family, d) only cost rebuilds; no value depends
+# on the cache
+_walk: tuple[Family, int] | None = None
 
 
 def _real_value(x: float) -> SumValue:
@@ -132,11 +141,22 @@ def _power_slice(
     return tuple(out)
 
 
+def _slice_for(
+    family: Family, d: int, b: float, n: int
+) -> tuple[tuple[int, complex, complex], ...]:
+    global _walk
+    if _walk != (family, d):
+        _power_slice.cache_clear()
+        _walk = (family, d)
+    return _power_slice(family, d, b, n)
+
+
 def theorem_sum(spec: SumSpec) -> SumValue:
     """General multi-index evaluation for the six power families, any n.
 
-    The frequency-free slice is cached per (family, d, b, n), so a sweep
-    over m builds it once; cold and warm calls take the same arithmetic.
+    The frequency-free slice is cached per (family, d, b, n) while the
+    calls stay on one (family, d), so a sweep over m builds it once; cold
+    and warm calls take the same arithmetic.
     """
     spec = validate_params(spec)
     traits = TRAITS[spec.family]
@@ -160,7 +180,7 @@ def theorem_sum(spec: SumSpec) -> SumValue:
         x1 = phase(-2.0 * m * b)
         x1c = phase(2.0 * m * b)
     acc = 0j
-    for mu, g, h in _power_slice(spec.family, d, b, n):
+    for mu, g, h in _slice_for(spec.family, d, b, n):
         acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
     return as_sum_value(-acc, "multi-index")
 

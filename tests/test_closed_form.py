@@ -20,7 +20,10 @@ from trigsum import (
     triple_product_sum,
     validate_params,
 )
+from trigsum import closed_form
+from trigsum.cli import grid_cases
 from trigsum.closed_form import SLICE_CACHE_SIZE, _power_slice
+from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
 
 
@@ -200,10 +203,40 @@ def test_slice_cache_keeps_the_coefficient_cap(monkeypatch):
 
 
 def test_slice_cache_is_bounded():
-    _power_slice.cache_clear()
-    for d in range(2, SLICE_CACHE_SIZE + 12):
-        theorem_sum(SumSpec(Family.COS_COT, d, 1, 0.137 / d, 2))
-    assert _power_slice.cache_info().currsize <= SLICE_CACHE_SIZE
+    for k in range(SLICE_CACHE_SIZE + 12):
+        theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000, 2))
+    assert _power_slice.cache_info().currsize == SLICE_CACHE_SIZE
+
+
+def test_slice_cache_holds_one_family_and_d():
+    theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
+    assert _power_slice.cache_info().currsize == 1
+    theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
+    assert _power_slice.cache_info().currsize == 1
+    theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
+    assert _power_slice.cache_info().currsize == 2
+    theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
+    assert _power_slice.cache_info().currsize == 1
+
+
+def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return enumerate_compositions(*args)
+
+    monkeypatch.setattr(closed_form, "enumerate_compositions", counted)
+    specs = [spec for spec, _ in grid_cases(POWER_FAMILIES[:2], 5, 3) if spec.n >= 2]
+    passes = []
+    for _ in range(3):
+        made.clear()
+        values = [_bits(theorem_sum(spec)) for spec in specs]
+        passes.append((len(made), values))
+    assert passes[0] == passes[1] == passes[2]
+    # one build per (family, d, b, n) of the grid, not one per m
+    slices = {(s.family, s.d, s.b, s.n) for s in specs}
+    assert passes[0][0] <= len(slices) < len(specs)
 
 
 # --- tangent and doubled-range forms -----------------------------------------
