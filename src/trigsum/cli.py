@@ -209,19 +209,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     paths = _parse_paths(args.paths)
     cases = grid_cases(tuple(Family), args.dmax, args.nmax)
-    reports = [evaluate_case(spec, b_index, paths, tol) for spec, b_index in cases]
     if not args.quiet:
         print(CSV_HEADER)
-        for report in reports:
+    # rows are printed as they are evaluated; only the counts and the two
+    # reports the summary names are kept, so memory does not grow with the grid
+    compared = failed = 0
+    worst = offender = None
+    for spec, b_index in cases:
+        report = evaluate_case(spec, b_index, paths, tol)
+        if not args.quiet:
             print(report.csv_row())
-    compared = [r for r in reports if r.rel_err is not None]
-    failures = [r for r in reports if r.status == "fail"]
-    worst = max(compared, key=lambda r: r.rel_err, default=None)
-    if failures:
-        offender = max(failures, key=lambda r: r.rel_err)
+        if report.rel_err is None:
+            continue
+        compared += 1
+        if worst is None or report.rel_err > worst.rel_err:
+            worst = report
+        if report.status == "fail":
+            failed += 1
+            if offender is None or report.rel_err > offender.rel_err:
+                offender = report
+    if offender is not None:
         spec = offender.spec
         print(
-            f"verification FAILED: {len(failures)} of {len(compared)} compared cases "
+            f"verification FAILED: {failed} of {compared} compared cases "
             f"exceed tol={tol:.3g}; worst family={spec.family.value} n={spec.n} "
             f"d={spec.d} m={spec.m} b={spec.b:.17g} paths={'/'.join(offender.worst_pair)} "
             f"rel_err={offender.rel_err:.3g}"
@@ -229,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 3
     worst_txt = f"{worst.rel_err:.3g}" if worst is not None else "n/a"
     print(
-        f"verification passed: {len(reports)} cases, {len(compared)} compared, "
+        f"verification passed: {len(cases)} cases, {compared} compared, "
         f"worst rel err {worst_txt}, tol {tol:.3g}"
     )
     return 0

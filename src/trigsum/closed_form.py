@@ -15,10 +15,13 @@ the minus combination and one extra factor of i. Accumulation is
 complex; the imaginary part must come out as noise and is reported as
 the residual, never silently dropped.
 
-Only x1, x1' and m^mu/mu! depend on m. Everything else is summed once
-per (mu, nu) into a frequency-free slice, cached per (family, d, b, n)
-while the calls stay on one (family, d), so a sweep over m enumerates
-the tuples and builds the kernel once.
+Only x1, x1' and m^mu/mu! depend on m, and only the kernel and the
+powers of d depend on (d, b). The exact tuple weights are summed once
+per (mu, nu) into composition weights, cached per (family, d, n); the
+rest is folded into a frequency-free slice, cached per (family, d, b, n).
+Both caches hold one (family, d) at a time, so a sweep over m builds
+the kernel once and a walk over the offsets of one d enumerates the
+tuples once.
 
 Shift arguments are handled in half-turn units and reduced before the
 factor of pi, so large b*d stays accurate.
@@ -52,12 +55,15 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # of them in use across one (family, d)
 SLICE_CACHE_SIZE = 64
 
-# the (family, d) whose slices _power_slice holds. A call on another
-# (family, d) drops them, so a walk over m reuses its slices, and a walk
-# that starts on a (family, d) other than the last one called starts
-# cold: its work does not depend on what ran before it. Concurrent
+# the (family, d) whose weights and slices the caches hold. A call on
+# another (family, d) drops them, so a walk over m and b reuses them, the
+# weights stay at one entry per n, and a walk that starts on a
+# (family, d) other than the last one called starts cold: its work does
+# not depend on what ran before it. The weights do not depend on d, but
+# keeping them across (family, d) would let a run find the weights an
+# earlier run built, so its traced counts would not repeat. Concurrent
 # callers on different (family, d) only cost rebuilds; no value depends
-# on the cache
+# on the caches
 _walk: tuple[Family, int] | None = None
 
 
@@ -105,38 +111,53 @@ def _composition_shape(traits: FamilyTraits, n: int) -> tuple[int, int, str]:
     return 2 * n - 2, 2 * n - 1, "mu_plus_nu_even"
 
 
+@functools.lru_cache(maxsize=None)
+def _composition_weights(
+    kind: str, total: int, parts: int, parity: str
+) -> tuple[tuple[int, int, float], ...]:
+    """The exact weight of each (mu, nu) pair of one composition sum.
+
+    One entry (mu, nu, w) per pair, in the order the enumeration first
+    reaches it: the sum, exact in Fractions, of the coefficient products
+    of the tuples with that (mu, nu), rounded once to a float. It
+    depends only on the shape, not on (d, b) or m.
+    """
+    weight = cot_coeff_product if kind == "cot" else csc_coeff_product
+    weights: dict[tuple[int, int], Fraction] = {}
+    for tup in enumerate_compositions(total, parts, parity):
+        key = (tup.mu, tup.nu)
+        w = weight(tup.js)
+        weights[key] = weights[key] + w if key in weights else w
+    return tuple((mu, nu, float(w)) for (mu, nu), w in weights.items())
+
+
 @functools.lru_cache(maxsize=SLICE_CACHE_SIZE)
 def _power_slice(
     family: Family, d: int, b: float, n: int
 ) -> tuple[tuple[int, complex, complex], ...]:
     """The frequency-free part of theorem_sum for one (family, d, b, n).
 
-    One entry (mu, G, H) per (mu, nu) pair of the composition sum: the
-    exact sum of the weights of the tuples with that (mu, nu), times the
-    powers of i and 2, d^{nu+1}/nu! and the kernel coefficient A_nu at
-    x2 (G) or at its conjugate, with the combination sign (H). The value
-    at frequency m is -sum m^mu/mu! * (x1*G + x1'*H). The pairs are not
-    summed over nu here: that reorders the cancellation between them.
+    One entry (mu, G, H) per (mu, nu) pair of the composition sum: its
+    composition weight (cached per (family, d, n), see
+    _composition_weights), times the powers of i and 2, d^{nu+1}/nu! and
+    the kernel coefficient A_nu at x2 (G) or at its conjugate, with the
+    combination sign (H). The value at frequency m is
+    -sum m^mu/mu! * (x1*G + x1'*H). The pairs are not summed over nu
+    here: that reorders the cancellation between them.
     """
     traits = TRAITS[family]
     odd = traits.odd_m
     total, parts, parity = _composition_shape(traits, n)
-    weight = cot_coeff_product if traits.shift_kind == "cot" else csc_coeff_product
     kernel = apostol_coeff_table(total, phase(-2.0 * d * b))
     kernel_c = apostol_coeff_table(total, phase(2.0 * d * b))
-    weights: dict[tuple[int, int], Fraction] = {}
-    for tup in enumerate_compositions(total, parts, parity):
-        key = (tup.mu, tup.nu)
-        w = weight(tup.js)
-        weights[key] = weights[key] + w if key in weights else w
     cos_prefix = traits.prefix == "cos"
     sign = -1.0 if cos_prefix else 1.0
     extra_i = 1 if cos_prefix else 0
     out = []
-    for (mu, nu), w in weights.items():
+    for mu, nu, w in _composition_weights(traits.shift_kind, total, parts, parity):
         ip = _I_POWERS[(mu + nu + extra_i) % 4]
         two = 2.0 ** (nu if odd else mu + nu)
-        c = ip * two * (d ** (nu + 1) / math.factorial(nu)) * float(w)
+        c = ip * two * (d ** (nu + 1) / math.factorial(nu)) * w
         out.append((mu, c * kernel[nu], c * sign * (-1.0) ** (mu + nu) * kernel_c[nu]))
     return tuple(out)
 
@@ -147,6 +168,7 @@ def _slice_for(
     global _walk
     if _walk != (family, d):
         _power_slice.cache_clear()
+        _composition_weights.cache_clear()
         _walk = (family, d)
     return _power_slice(family, d, b, n)
 
@@ -154,9 +176,11 @@ def _slice_for(
 def theorem_sum(spec: SumSpec) -> SumValue:
     """General multi-index evaluation for the six power families, any n.
 
-    The frequency-free slice is cached per (family, d, b, n) while the
-    calls stay on one (family, d), so a sweep over m builds it once; cold
-    and warm calls take the same arithmetic.
+    The composition weights are cached per (family, d, n) and the
+    frequency-free slice per (family, d, b, n) while the calls stay on
+    one (family, d), so a sweep over m builds the slice once and a sweep
+    over b enumerates the tuples once; cold and warm calls take the same
+    arithmetic.
     """
     spec = validate_params(spec)
     traits = TRAITS[spec.family]
@@ -171,7 +195,7 @@ def theorem_sum(spec: SumSpec) -> SumValue:
         inner = theorem_sum(folded)
         return SumValue(fold_sign * inner.value + 0.0, inner.imag_residual, "multi-index")
     d, m, b, n = spec.d, spec.m, spec.b, spec.n
-    # a cached slice skips the coefficient calls, so the cap is checked here
+    # cached weights and slices skip the coefficient calls, so the cap is checked here
     check_index(_composition_shape(traits, n)[0], "apostol_coeff")
     if traits.odd_m:
         x1 = phase(-m * (b - 1.0))

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from trigsum.cli import CSV_HEADER, main
+from trigsum import cli
+from trigsum.cli import CSV_HEADER, PATH_NAMES, evaluate_case, grid_cases, main
+from trigsum.errors import NumericError
+from trigsum.families import Family
 
 
 def run(capsys, argv):
@@ -85,6 +88,59 @@ def test_verify_quiet_suppresses_rows(capsys):
     code, out, _ = run(capsys, ["verify", "--dmax", "4", "--nmax", "1", "--quiet"])
     assert code == 0
     assert len(out.splitlines()) == 1
+
+
+def batch_verify(dmax, nmax, tol, quiet):
+    """Exit code and stdout of verify built the batch way: every report first."""
+    cases = grid_cases(tuple(Family), dmax, nmax)
+    reports = [evaluate_case(spec, b_index, PATH_NAMES, tol) for spec, b_index in cases]
+    lines = [] if quiet else [CSV_HEADER] + [r.csv_row() for r in reports]
+    compared = [r for r in reports if r.rel_err is not None]
+    failures = [r for r in reports if r.status == "fail"]
+    if failures:
+        offender = max(failures, key=lambda r: r.rel_err)
+        spec = offender.spec
+        lines.append(
+            f"verification FAILED: {len(failures)} of {len(compared)} compared cases "
+            f"exceed tol={tol:.3g}; worst family={spec.family.value} n={spec.n} "
+            f"d={spec.d} m={spec.m} b={spec.b:.17g} paths={'/'.join(offender.worst_pair)} "
+            f"rel_err={offender.rel_err:.3g}"
+        )
+        return 3, "\n".join(lines) + "\n"
+    worst = max(compared, key=lambda r: r.rel_err, default=None)
+    worst_txt = f"{worst.rel_err:.3g}" if worst is not None else "n/a"
+    lines.append(
+        f"verification passed: {len(reports)} cases, {len(compared)} compared, "
+        f"worst rel err {worst_txt}, tol {tol:.3g}"
+    )
+    return 0, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-14])
+@pytest.mark.parametrize("quiet", [False, True])
+def test_streamed_verify_matches_the_batch_output(capsys, tol, quiet):
+    argv = ["verify", "--dmax", "5", "--nmax", "2", "--tol", str(tol)]
+    code, out, _ = run(capsys, argv + ["--quiet"] * quiet)
+    want_code, want_out = batch_verify(5, 2, tol, quiet)
+    assert (code, out) == (want_code, want_out)
+    assert code == (0 if tol == 1e-8 else 3)
+
+
+def test_verify_prints_each_row_before_the_next_case(capsys, monkeypatch):
+    evaluated = []
+
+    def failing_third(spec, b_index, paths, tol):
+        if len(evaluated) == 2:
+            raise NumericError("third case")
+        evaluated.append(spec)
+        return evaluate_case(spec, b_index, paths, tol)
+
+    monkeypatch.setattr(cli, "evaluate_case", failing_third)
+    code, out, err = run(capsys, ["verify", "--dmax", "3"])
+    assert code == 1
+    assert "third case" in err
+    assert out.splitlines()[0] == CSV_HEADER
+    assert len(out.splitlines()) == 3
 
 
 def test_verify_empty_grid(capsys):

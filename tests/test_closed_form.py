@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,13 @@ from trigsum import (
 )
 from trigsum import closed_form
 from trigsum.cli import grid_cases
-from trigsum.closed_form import SLICE_CACHE_SIZE, _power_slice
+from trigsum.closed_form import (
+    SLICE_CACHE_SIZE,
+    _composition_shape,
+    _composition_weights,
+    _power_slice,
+)
+from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
 
@@ -194,12 +201,34 @@ def test_slice_cache_cold_and_warm_give_the_same_bits():
             assert _bits(warm) == _bits(cold), spec
 
 
+def test_warm_weights_and_a_cold_slice_give_the_same_bits():
+    # a new b on the same (family, d, n) reuses the weights, not the slice
+    for family, d, n in ((Family.COS_COT, 9, 3), (Family.SIN_CSC_2N, 8, 3),
+                         (Family.COS_CSC_ODD, 9, 3)):
+        specs = [validate_params(SumSpec(family, d, m, 0.137, n))
+                 for m in range(1, d) if not TRAITS[family].odd_m or m % 2]
+        for spec in specs:
+            _power_slice.cache_clear()
+            _composition_weights.cache_clear()
+            cold = theorem_sum(spec)
+            _power_slice.cache_clear()
+            theorem_sum(SumSpec(family, d, 1, 0.2, n))
+            built = _composition_weights.cache_info().misses
+            warm = theorem_sum(spec)
+            assert _composition_weights.cache_info().misses == built
+            assert _bits(warm) == _bits(cold), spec
+
+
 def test_slice_cache_keeps_the_coefficient_cap(monkeypatch):
     spec = SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4)   # kernel index 2n - 1 = 7
     theorem_sum(spec)
+    assert _composition_weights.cache_info().currsize == 1
     monkeypatch.setenv("TRIGSUM_COEFF_CAP", "6")
     with pytest.raises(NumericError, match="order too large"):
         theorem_sum(spec)
+    # warm weights, cold slice
+    with pytest.raises(NumericError, match="order too large"):
+        theorem_sum(SumSpec(Family.COS_CSC_2N, 6, 1, 0.2, 4))
 
 
 def test_slice_cache_is_bounded():
@@ -209,14 +238,19 @@ def test_slice_cache_is_bounded():
 
 
 def test_slice_cache_holds_one_family_and_d():
+    def sizes():
+        return _power_slice.cache_info().currsize, _composition_weights.cache_info().currsize
+
     theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
-    assert _power_slice.cache_info().currsize == 1
+    assert sizes() == (1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
-    assert _power_slice.cache_info().currsize == 1
+    assert sizes() == (1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
-    assert _power_slice.cache_info().currsize == 2
+    assert sizes() == (2, 2)
+    theorem_sum(SumSpec(Family.COS_COT, 7, 3, 0.3, 3))
+    assert sizes() == (3, 2)
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    assert _power_slice.cache_info().currsize == 1
+    assert sizes() == (1, 1)
 
 
 def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
@@ -234,9 +268,47 @@ def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
         values = [_bits(theorem_sum(spec)) for spec in specs]
         passes.append((len(made), values))
     assert passes[0] == passes[1] == passes[2]
-    # one build per (family, d, b, n) of the grid, not one per m
+    # one enumeration per (family, d, n) of the grid, not one per b or m
+    weights = {(s.family, s.d, s.n) for s in specs}
     slices = {(s.family, s.d, s.b, s.n) for s in specs}
-    assert passes[0][0] <= len(slices) < len(specs)
+    assert passes[0][0] <= len(weights) < len(slices) < len(specs)
+
+
+def _power_series_coefficients(coeff, parts, top):
+    """[x^S] C(x)^parts for S = 0..top, exactly, with C(x) = sum_j coeff(j) x^j."""
+    base = [coeff(j) for j in range(top + 1)]
+    out = [Fraction(1)] + [Fraction(0)] * top
+    for _ in range(parts):
+        out = [sum(out[i] * base[s - i] for i in range(s + 1)) for s in range(top + 1)]
+    return out
+
+
+def test_composition_weights_are_one_polynomial_power():
+    # the tuples with a given (mu, nu) are those with sum(js) = S, so their
+    # summed weight is one coefficient of C(x)^parts
+    try:
+        for family in (Family.COS_COT, Family.SIN_CSC_2N, Family.SIN_CSC_ODD):
+            kind = TRAITS[family].shift_kind
+            coeff = cot_coeff if kind == "cot" else csc_coeff
+            for n in range(1, 6):
+                total, parts, parity = _composition_shape(TRAITS[family], n)
+                power = _power_series_coefficients(coeff, parts, total // 2)
+                coeffs = [coeff(j) for j in range(total // 2 + 1)]
+                exact: dict[tuple[int, int], Fraction] = {}
+                for tup in enumerate_compositions(total, parts, parity):
+                    key = (tup.mu, tup.nu)
+                    exact[key] = exact.get(key, 0) + math.prod(coeffs[j] for j in tup.js)
+                memo = _composition_weights(kind, total, parts, parity)
+                assert [(mu, nu) for mu, nu, _ in memo] == list(exact)
+                assert set(exact) == {(mu, nu) for mu in range(total + 1)
+                                      for nu in range(total + 1 - mu)
+                                      if (mu + nu - total) % 2 == 0}
+                for mu, nu, w in memo:
+                    want = power[(total - mu - nu) // 2]
+                    assert exact[(mu, nu)] == want, (family, n, mu, nu)
+                    assert w == float(want), (family, n, mu, nu)
+    finally:
+        _composition_weights.cache_clear()
 
 
 # --- tangent and doubled-range forms -----------------------------------------
