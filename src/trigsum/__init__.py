@@ -12,14 +12,7 @@ The three paths must agree; `trigsum verify` sweeps them against each
 other over deterministic grids.
 """
 
-from .closed_form import (
-    closed_form_value,
-    corollary_value,
-    double_range_cot_sum,
-    tangent_sum,
-    theorem_sum,
-    triple_product_sum,
-)
+from .closed_form import closed_form_value, corollary_value, theorem_sum
 from .coefficients import (
     apostol_coeff,
     apostol_coeff_table,
@@ -94,7 +87,6 @@ __all__ = [
     "csc_coeff",
     "csc_coeff_product",
     "direct_sum",
-    "double_range_cot_sum",
     "enumerate_compositions",
     "expand_factor",
     "is_classical",
@@ -108,10 +100,8 @@ __all__ = [
     "series_reciprocal",
     "series_scale",
     "sum_via_residues",
-    "tangent_sum",
     "term_magnitude_sum",
     "theorem_sum",
-    "triple_product_sum",
     "validate_params",
     "__version__",
 ]

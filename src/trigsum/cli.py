@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .closed_form import closed_form_value
 from .coefficients import bernoulli, coefficient_cap, cot_coeff, csc_coeff
@@ -32,21 +32,22 @@ PATH_NAMES = ("closed", "oracle", "residue")
 CONDITIONING_FLOOR = 0.01
 
 
-def _env_tol() -> float:
-    raw = os.environ.get(TOL_ENV)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParameterError(f"invalid {TOL_ENV} value {raw!r}") from None
-    if not value > 0.0:
-        raise ParameterError(f"{TOL_ENV} must be positive, got {value!r}")
-    return value
-
-
 def _tolerance(args: argparse.Namespace) -> float:
-    return args.tol if args.tol is not None else _env_tol()
+    """The --tol flag, else TRIGSUM_TOL, else the default; either must be positive."""
+    if args.tol is not None:
+        value, source = args.tol, "--tol"
+    else:
+        raw = os.environ.get(TOL_ENV)
+        if raw is None:
+            return DEFAULT_TOL
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParameterError(f"invalid {TOL_ENV} value {raw!r}") from None
+        source = TOL_ENV
+    if not value > 0.0:
+        raise ParameterError(f"{source} must be positive, got {value!r}")
+    return value
 
 
 def default_offsets(d: int) -> tuple[float, ...]:
@@ -117,21 +118,26 @@ def evaluate_case(spec: SumSpec, b_index: int, paths: Sequence[str], tol: float)
     return VerificationReport(spec, b_index, values, cond, abs_err, rel_err, worst_pair, status)
 
 
-def grid_cases(
+def iter_grid_cases(
     families: Sequence[Family],
     dmax: int,
     nmax: int,
     offsets=None,
-) -> list[tuple[SumSpec, int]]:
-    """Deterministic sweep order: family, d, m, b-index, n.
+) -> Iterator[tuple[SumSpec, int]]:
+    """Deterministic sweep order: family, d, m, b-index, n, one case at a time.
 
-    Offsets that land on a family's singular set are silently dropped.
+    The bounds on dmax and nmax are checked on the call, before the first
+    case is built. Offsets that land on a family's singular set are
+    silently dropped.
     """
     if dmax > MAX_DMAX:
         raise ParameterError(f"dmax {dmax} exceeds the supported bound {MAX_DMAX}")
     if dmax < 2 or nmax < 1:
         raise ParameterError(f"empty grid: dmax {dmax} and nmax {nmax} admit no cases")
-    cases = []
+    return _grid(families, dmax, nmax, offsets)
+
+
+def _grid(families, dmax, nmax, offsets) -> Iterator[tuple[SumSpec, int]]:
     for family in families:
         traits = TRAITS[family]
         n_values = range(1, nmax + 1) if traits.supports_power else (1,)
@@ -147,8 +153,17 @@ def grid_cases(
                             spec = validate_params(SumSpec(family, d, m, float(b), n, b2))
                         except ParameterError:
                             continue
-                        cases.append((spec, b_index))
-    return cases
+                        yield spec, b_index
+
+
+def grid_cases(
+    families: Sequence[Family],
+    dmax: int,
+    nmax: int,
+    offsets=None,
+) -> list[tuple[SumSpec, int]]:
+    """Every case of iter_grid_cases, as a list."""
+    return list(iter_grid_cases(families, dmax, nmax, offsets))
 
 
 def _parse_paths(raw: str) -> tuple[str, ...]:
@@ -208,14 +223,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     paths = _parse_paths(args.paths)
-    cases = grid_cases(tuple(Family), args.dmax, args.nmax)
+    cases = iter_grid_cases(tuple(Family), args.dmax, args.nmax)
     if not args.quiet:
         print(CSV_HEADER)
-    # rows are printed as they are evaluated; only the counts and the two
-    # reports the summary names are kept, so memory does not grow with the grid
-    compared = failed = 0
+    # cases are built and rows printed one at a time; only the counts and the
+    # two reports the summary names are kept, so memory does not grow with the grid
+    total = compared = failed = 0
     worst = offender = None
     for spec, b_index in cases:
+        total += 1
         report = evaluate_case(spec, b_index, paths, tol)
         if not args.quiet:
             print(report.csv_row())
@@ -239,7 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 3
     worst_txt = f"{worst.rel_err:.3g}" if worst is not None else "n/a"
     print(
-        f"verification passed: {len(cases)} cases, {compared} compared, "
+        f"verification passed: {total} cases, {compared} compared, "
         f"worst rel err {worst_txt}, tol {tol:.3g}"
     )
     return 0

@@ -1,9 +1,26 @@
 """Closed-form evaluation of every sum family.
 
-Two layers live here. The first-power and triple-product families have
-single-line closed forms, evaluated in real arithmetic with the folded
-trig helpers. The general power families evaluate a multi-index
-expression: a sum over composition tuples (js, mu, nu) of
+Two layers live here. The first holds the first-power closed forms of
+the six power families. One of them, the cotangent sum
+
+    sum_{j<d} prefix(2 pi m j/d) * cot(pi (j/d + b + k/2)) = +-d * osc * csc,
+
+with the shift given as b plus k quarter turns (k an integer), is the
+one every other family reduces onto, by one of four identities:
+
+  * tan(pi x) = -cot(pi (x + 1/2)) and sec(pi x) = csc(pi (x + 1/2));
+  * the doubled-range sum X-cot-2d(d, m, b) is X-cot(2d, 2m, b);
+  * csc(pi x) * sin(pi (x + D)) = sin(pi D) * cot(pi x) + cos(pi D),
+    whose constant term sums to zero against the prefix (cos(pi y) is
+    sin(pi (y + 1/2)));
+  * csc A * csc B = (cot A - cot B) / sin(B - A).
+
+The quarter turns stay integers and are taken exactly (sin becomes
++-sin or +-cos, csc becomes +-csc or +-sec), never added to b as a
+float, so no rounding enters the shift and the pole guards stay in place.
+
+The second layer, for the power families at n > 1, evaluates a
+multi-index expression: a sum over composition tuples (js, mu, nu) of
 
     i^{mu+nu(+1)} * 2^{pw} * m^mu/mu! * d^{nu+1}/nu!
       * (x1 * A_nu(x2) +- (-1)^{mu+nu} * x1' * A_nu(x2'))
@@ -50,6 +67,11 @@ from .multiindex import cot_coeff_product, csc_coeff_product, enumerate_composit
 from .trig import cos_pi, csc_pi, phase, sec_pi, sin_pi
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_SIN_COS = (sin_pi, cos_pi)
+_CSC_SEC = (csc_pi, sec_pi)
+# q of each factor kind written as sin, csc or cot of pi (x + q/2); tan is
+# minus the cot of x + 1/2
+_QUARTER_TURNS = {"cot": 0, "csc": 0, "sin": 0, "tan": 1, "sec": 1, "cos": 1}
 
 # theorem_sum slices kept warm; verify's order keeps len(offsets) * nmax
 # of them in use across one (family, d)
@@ -71,6 +93,37 @@ def _real_value(x: float) -> SumValue:
     return SumValue(x + 0.0, 0.0, "closed-form")
 
 
+def _quarter_turns(x: float, q: int, reciprocal: bool = False) -> float:
+    """sin(pi (x + q/2)), or its reciprocal, with the q quarter turns taken exactly."""
+    value = (_CSC_SEC if reciprocal else _SIN_COS)[q % 2](x)
+    return -value if q % 4 >= 2 else value
+
+
+def _cot_sum(prefix: str, d: int, m: int, b: float, k: int) -> float:
+    """First-power cot sum of prefix(2 pi m j/d) * cot(pi (j/d + b + k/2)) over j < d."""
+    s = 2 * m - d
+    if prefix == "cos":
+        return d * _quarter_turns(s * b, s * k + 1) * _quarter_turns(b * d, d * k, True)
+    return -d * _quarter_turns(s * b, s * k) * _quarter_turns(b * d, d * k, True)
+
+
+def _reduced_sum(spec: SumSpec, traits: FamilyTraits) -> float:
+    """A tangent, doubled-range or triple-product sum as first-power cot sums."""
+    d, m, b, prefix = spec.d, spec.m, spec.b, traits.prefix
+    if traits.kind == "double":
+        return _cot_sum(prefix, 2 * d, 2 * m, b, 0)
+    k = _QUARTER_TURNS[traits.shift_kind]
+    if traits.kind == "tangent":
+        return -_cot_sum(prefix, d, m, b, k)
+    b2 = spec.b2
+    assert b2 is not None
+    r = _QUARTER_TURNS[traits.second_kind]
+    if traits.second_kind in ("cos", "sin"):
+        return _quarter_turns(b2 - b, r - k) * _cot_sum(prefix, d, m, b, k)
+    return (_cot_sum(prefix, d, m, b, k) - _cot_sum(prefix, d, m, b2, r)) \
+        * _quarter_turns(b2 - b, r - k, True)
+
+
 def corollary_value(spec: SumSpec) -> SumValue:
     """First-power closed form for the six power families."""
     spec = validate_params(spec)
@@ -82,11 +135,9 @@ def corollary_value(spec: SumSpec) -> SumValue:
     d, m, b = spec.d, spec.m, spec.b
     if is_classical(spec):
         return _real_value(float(d - 2 * m))
+    if traits.shift_kind == "cot":
+        return _real_value(_cot_sum(traits.prefix, d, m, b, 0))
     fam = spec.family
-    if fam is Family.COS_COT:
-        return _real_value(d * cos_pi((2 * m - d) * b) * csc_pi(b * d))
-    if fam is Family.SIN_COT:
-        return _real_value(-d * sin_pi((2 * m - d) * b) * csc_pi(b * d))
     if fam is Family.SIN_CSC_2N:
         return _real_value(
             d * csc_pi((b - 1) * d) ** 2
@@ -209,132 +260,10 @@ def theorem_sum(spec: SumSpec) -> SumValue:
     return as_sum_value(-acc, "multi-index")
 
 
-def tangent_sum(spec: SumSpec) -> SumValue:
-    """Closed form for the tangent families; the branch follows d's parity."""
-    spec = validate_params(spec)
-    if TRAITS[spec.family].kind != "tangent":
-        raise ParameterError(f"tangent_sum does not cover family {spec.family.value}")
-    d, m, b = spec.d, spec.m, spec.b
-    cos_prefix = spec.family is Family.COS_TAN
-    if d % 2 == 0:
-        sign = (-1.0) ** (m + 1) if cos_prefix else (-1.0) ** m
-        osc = cos_pi((2 * m - d) * b) if cos_prefix else sin_pi((2 * m - d) * b)
-        return _real_value(sign * d * osc * csc_pi(b * d))
-    sign = (-1.0) ** (m + d)
-    osc = sin_pi((2 * m - d) * b) if cos_prefix else cos_pi((2 * m - d) * b)
-    return _real_value(sign * d * osc * sec_pi(b * d))
-
-
-def double_range_cot_sum(spec: SumSpec) -> SumValue:
-    """Closed form for the cotangent sums over the doubled range 0..2d-1."""
-    spec = validate_params(spec)
-    if TRAITS[spec.family].kind != "double":
-        raise ParameterError(f"double_range_cot_sum does not cover family {spec.family.value}")
-    d, m, b = spec.d, spec.m, spec.b
-    if spec.family is Family.COS_COT_2D:
-        return _real_value(2 * d * cos_pi(2 * (2 * m - d) * b) * csc_pi(2 * b * d))
-    return _real_value(-2 * d * sin_pi(2 * (2 * m - d) * b) * csc_pi(2 * b * d))
-
-
-def triple_product_sum(spec: SumSpec) -> SumValue:
-    """Closed forms for the twelve triple-product families.
-
-    Single-cosec/sec families with an entire second factor are one defining
-    term carrying a constant cross factor in (b2 - b); the families with
-    two singular factors are symmetric two-term expressions whose cross
-    factors live on the excluded set checked by validate_params.
-    """
-    spec = validate_params(spec)
-    traits = TRAITS[spec.family]
-    if traits.kind != "triple":
-        raise ParameterError(f"triple_product_sum does not cover family {spec.family.value}")
-    d, m, b, b2 = spec.d, spec.m, spec.b, spec.b2
-    assert b2 is not None
-    even_d = d % 2 == 0
-    fam = spec.family
-    if fam is Family.COS_CSC_COS:
-        return _real_value(-d * cos_pi((2 * m - d) * b) * csc_pi(b * d) * cos_pi(1 + (b2 - b)))
-    if fam is Family.COS_CSC_SIN:
-        return _real_value(-d * cos_pi((2 * m - d) * b) * csc_pi(b * d) * sin_pi(1 + (b2 - b)))
-    if fam is Family.SIN_CSC_COS:
-        return _real_value(d * sin_pi((2 * m - d) * b) * csc_pi(b * d) * cos_pi(1 + (b2 - b)))
-    if fam is Family.SIN_CSC_SIN:
-        return _real_value(d * sin_pi((2 * m - d) * b) * csc_pi(b * d) * sin_pi(1 + (b2 - b)))
-    if fam in (Family.COS_SEC_COS, Family.COS_SEC_SIN):
-        cross = cos_pi(0.5 + (b2 - b)) if fam is Family.COS_SEC_COS else sin_pi(0.5 + (b2 - b))
-        if even_d:
-            return _real_value(
-                (-1.0) ** (m + 1) * d * cos_pi((2 * m - d) * b) * csc_pi(b * d) * cross
-            )
-        return _real_value(
-            (-1.0) ** (m + d) * d * sin_pi((2 * m - d) * b) * sec_pi(b * d) * cross
-        )
-    if fam is Family.COS_CSC_CSC:
-        return _real_value(
-            -d * cos_pi((2 * m - d) * b) * csc_pi(b * d) * csc_pi(1 + (b2 - b))
-            - d * cos_pi((2 * m - d) * b2) * csc_pi(b2 * d) * csc_pi(1 + (b - b2))
-        )
-    if fam is Family.SIN_CSC_CSC:
-        return _real_value(
-            d * sin_pi((2 * m - d) * b) * csc_pi(b * d) * csc_pi(1 + (b2 - b))
-            + d * sin_pi((2 * m - d) * b2) * csc_pi(b2 * d) * csc_pi(1 + (b - b2))
-        )
-    if fam is Family.COS_CSC_SEC:
-        first = -d * cos_pi((2 * m - d) * b) * csc_pi(b * d) * sec_pi(1 + (b2 - b))
-        if even_d:
-            second = (-1.0) ** (m + 1) * d * cos_pi((2 * m - d) * b2) * csc_pi(b2 * d) \
-                * csc_pi(0.5 + (b - b2))
-        else:
-            second = (-1.0) ** (m + d) * d * sin_pi((2 * m - d) * b2) * sec_pi(b2 * d) \
-                * csc_pi(0.5 + (b - b2))
-        return _real_value(first + second)
-    if fam is Family.SIN_CSC_SEC:
-        first = d * sin_pi((2 * m - d) * b) * csc_pi(b * d) * sec_pi(1 + (b2 - b))
-        if even_d:
-            second = (-1.0) ** m * d * sin_pi((2 * m - d) * b2) * csc_pi(b2 * d) \
-                * csc_pi(0.5 + (b - b2))
-        else:
-            second = (-1.0) ** (m + d) * d * cos_pi((2 * m - d) * b2) * sec_pi(b2 * d) \
-                * csc_pi(0.5 + (b - b2))
-        return _real_value(first + second)
-    if fam is Family.COS_SEC_SEC:
-        if even_d:
-            return _real_value(
-                (-1.0) ** (m + 1) * d * (
-                    cos_pi((2 * m - d) * b) * csc_pi(b * d) * sec_pi(0.5 + (b2 - b))
-                    + cos_pi((2 * m - d) * b2) * csc_pi(b2 * d) * sec_pi(0.5 + (b - b2))
-                )
-            )
-        return _real_value(
-            (-1.0) ** (m + d) * d * (
-                sin_pi((2 * m - d) * b) * sec_pi(b * d) * sec_pi(0.5 + (b2 - b))
-                + sin_pi((2 * m - d) * b2) * sec_pi(b2 * d) * sec_pi(0.5 + (b - b2))
-            )
-        )
-    # SIN_SEC_SEC
-    if even_d:
-        return _real_value(
-            (-1.0) ** m * d * (
-                sin_pi((2 * m - d) * b) * csc_pi(b * d) * sec_pi(0.5 + (b2 - b))
-                + sin_pi((2 * m - d) * b2) * csc_pi(b2 * d) * sec_pi(0.5 + (b - b2))
-            )
-        )
-    return _real_value(
-        (-1.0) ** (m + d) * d * (
-            cos_pi((2 * m - d) * b) * sec_pi(b * d) * sec_pi(0.5 + (b2 - b))
-            + cos_pi((2 * m - d) * b2) * sec_pi(b2 * d) * sec_pi(0.5 + (b - b2))
-        )
-    )
-
-
 def closed_form_value(spec: SumSpec) -> SumValue:
     """Dispatch to the closed form matching the family and power."""
     spec = validate_params(spec)
-    kind = TRAITS[spec.family].kind
-    if kind == "power":
-        return corollary_value(spec) if spec.n == 1 else theorem_sum(spec)
-    if kind == "tangent":
-        return tangent_sum(spec)
-    if kind == "double":
-        return double_range_cot_sum(spec)
-    return triple_product_sum(spec)
+    traits = TRAITS[spec.family]
+    if traits.kind != "power":
+        return _real_value(_reduced_sum(spec, traits))
+    return corollary_value(spec) if spec.n == 1 else theorem_sum(spec)

@@ -28,7 +28,6 @@ from trigsum import (
     residue_at_interior_pole,
     sum_via_residues,
     theorem_sum,
-    triple_product_sum,
     validate_params,
 )
 from trigsum.cli import CSV_HEADER, default_offsets, main
@@ -199,7 +198,7 @@ def test_acceptance_06_triple_product_suite():
                         spec = validate_params(SumSpec(family, d, m, b, 1, b2))
                     except ParameterError:
                         continue
-                    closed = triple_product_sum(spec).value
+                    closed = closed_form_value(spec).value
                     oracle = direct_sum(spec).value
                     assert rel_err(closed, oracle) <= 1e-8, spec
                     checked += 1
@@ -207,7 +206,7 @@ def test_acceptance_06_triple_product_suite():
     # coincident shifts collapse cosec*cos to the first cotangent power
     for d in (4, 7):
         for b in (0.137, 0.29):
-            triple = triple_product_sum(SumSpec(Family.COS_CSC_COS, d, 2, b, 1, b)).value
+            triple = closed_form_value(SumSpec(Family.COS_CSC_COS, d, 2, b, 1, b)).value
             single = corollary_value(SumSpec(Family.COS_COT, d, 2, b)).value
             assert rel_err(triple, single) <= 1e-12, (d, b)
     assert time.perf_counter() - start < 10.0

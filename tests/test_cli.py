@@ -9,7 +9,7 @@ import pytest
 from trigsum import cli
 from trigsum.cli import CSV_HEADER, PATH_NAMES, evaluate_case, grid_cases, main
 from trigsum.errors import NumericError
-from trigsum.families import Family
+from trigsum.families import Family, validate_params
 
 
 def run(capsys, argv):
@@ -144,14 +144,14 @@ def test_verify_prints_each_row_before_the_next_case(capsys, monkeypatch):
 
 
 def test_verify_empty_grid(capsys):
-    code, _, err = run(capsys, ["verify", "--dmax", "0"])
-    assert code == 2
+    code, out, err = run(capsys, ["verify", "--dmax", "0"])
+    assert (code, out) == (2, "")
     assert "empty grid" in err
 
 
 def test_verify_dmax_bound(capsys):
-    code, _, err = run(capsys, ["verify", "--dmax", "300"])
-    assert code == 2
+    code, out, err = run(capsys, ["verify", "--dmax", "300"])
+    assert (code, out) == (2, "")
     assert "exceeds the supported bound 200" in err
 
 
@@ -173,6 +173,47 @@ def test_verify_rejects_bad_tol_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--dmax", "3", "--quiet"])
     assert code == 2
     assert "TRIGSUM_TOL" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "-0.0"])
+def test_non_positive_tolerance_is_a_usage_error(capsys, monkeypatch, tol):
+    for argv in (["verify", "--dmax", "3", "--quiet", "--tol", tol],
+                 ["eval", "--family", "cos-cot", "--d", "3", "--m", "1", "--b", "0.137",
+                  "--all-paths", "--tol", tol],
+                 ["table", "--family", "cos-cot", "--dmax", "3", "--tol", tol]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "--tol must be positive" in err
+    monkeypatch.setenv("TRIGSUM_TOL", tol)
+    code, out, err = run(capsys, ["verify", "--dmax", "3", "--quiet"])
+    assert (code, out) == (2, "")
+    assert "TRIGSUM_TOL must be positive" in err
+
+
+def test_verify_prints_the_first_row_before_the_grid_is_built(capsys, monkeypatch):
+    built = []
+    seen = {}
+
+    def counting_validate(spec):
+        built.append(spec)
+        return validate_params(spec)
+
+    def probing_evaluate(spec, b_index, paths, tol):
+        if len(seen) == 1:
+            seen["lines"] = capsys.readouterr().out.splitlines()
+            seen["built"] = len(built)
+        seen.setdefault("first", spec)
+        return evaluate_case(spec, b_index, paths, tol)
+
+    monkeypatch.setattr(cli, "validate_params", counting_validate)
+    monkeypatch.setattr(cli, "evaluate_case", probing_evaluate)
+    code, out, _ = run(capsys, ["verify", "--dmax", "4", "--nmax", "1"])
+    assert code == 0
+    assert seen["lines"][0] == CSV_HEADER
+    assert seen["lines"][1].startswith(f"{seen['first'].family.value},1,2,1,")
+    total = len(grid_cases(tuple(Family), 4, 1))
+    assert seen["built"] < total
+    assert out.splitlines()[-1].startswith(f"verification passed: {total} cases,")
 
 
 def test_table_explicit_offset_row(capsys):

@@ -14,11 +14,8 @@ from trigsum import (
     closed_form_value,
     corollary_value,
     direct_sum,
-    double_range_cot_sum,
     sum_via_residues,
-    tangent_sum,
     theorem_sum,
-    triple_product_sum,
     validate_params,
 )
 from trigsum import closed_form
@@ -32,6 +29,7 @@ from trigsum.closed_form import (
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
+from trigsum.trig import cos_pi, csc_pi, sec_pi, sin_pi
 
 
 def rel_err(got, want):
@@ -311,31 +309,98 @@ def test_composition_weights_are_one_polynomial_power():
         _composition_weights.cache_clear()
 
 
+# --- the reduction onto the first-power cot sum -------------------------------
+
+# closed values of the hand-written per-family forms the reduction
+# replaced, at m = 3 for (d, b) = (10, 0.137), (10, 1/3 + 1/70),
+# (11, 0.137), (11, 1/3 + 1/77), with the grid's b2 = b + 0.31
+PINNED_N1 = {
+    Family.COS_TAN: (1.6368818518217492, 3.3827587533899184, -418.1055859144851, 9.942056537420122),
+    Family.SIN_TAN: (-10.77250625679053, 9.440261552572732, -274.6440359459666, 8.85441173205701),
+    Family.COS_COT_2D: (-26.19768557459862, -103.650726608192, 198.71793308959832, 2.725969656920766),
+    Family.SIN_COT_2D: (-8.149639652607924, 85.22626314490506, 459.21004895139004, 23.47597338807257),
+    Family.COS_COT: (1.6368818518217492, 3.3827587533899184, 6.040711615245476, -12.987036751241822),
+    Family.SIN_COT: (-10.77250625679053, 9.440261552572732, -9.196104552328755, 14.582318683796194),
+    Family.COS_CSC_COS: (0.9200640804168193, 1.9013924665642674, 3.395383589327776, -7.299797485427762),
+    Family.COS_CSC_SIN: (1.3538331820243408, 2.797814052386035, 4.996155231764245, -10.741325814341927),
+    Family.COS_SEC_COS: (-1.3538331820243408, -2.7978140523860344, 345.80700810555453, -8.222881830439597),
+    Family.COS_SEC_SIN: (0.9200640804168193, 1.901392466564268, -235.01020002965794, 5.588264721349958),
+    Family.SIN_CSC_COS: (-6.055046704750032, 5.3062141012776785, -5.168977509854301, 8.196478942704397),
+    Family.SIN_CSC_SIN: (-8.909730661242623, 7.807856946203923, -7.60591943422898, 12.06075251124883),
+    Family.COS_CSC_CSC: (-7.570065096699733, 9.049801604606236, -30.852504926175637, -28.944952013265436),
+    Family.COS_CSC_SEC: (16.963350753322032, -1.279877024966913, 24.37869266218927, -42.732179010524845),
+    Family.COS_SEC_SEC: (7.570065096699735, -9.049801604606238, 514.7838620098963, -25.35915841789963),
+    Family.SIN_CSC_CSC: (-5.52106675272942, -0.0005906823719712406, -45.838187560969374, 1.4584019372214385),
+    Family.SIN_CSC_SEC: (-30.206631475218714, 33.59112258257881, -31.341779683973463, 42.01453848721243),
+    Family.SIN_SEC_SEC: (5.5210667527294195, 0.0005906823719659116, 321.8833271947375, 0.21635533647305616),
+}
+
+
+@pytest.mark.parametrize("family", list(PINNED_N1), ids=lambda f: f.value)
+def test_reduced_families_keep_their_values(family):
+    traits = TRAITS[family]
+    # the cot, tangent and doubled-range forms are the same float products;
+    # the triple products round their cross factors and differences anew
+    if traits.kind != "triple":
+        bound = 0.0
+    elif traits.second_kind in ("cos", "sin"):
+        bound = 1e-15
+    else:
+        bound = 1e-13
+    cases = [(d, b) for d in (10, 11) for b in (0.137, 1.0 / 3.0 + 1.0 / (7.0 * d))]
+    for (d, b), want in zip(cases, PINNED_N1[family]):
+        b2 = b + 0.31 if traits.kind == "triple" else None
+        got = closed_form_value(SumSpec(family, d, 3, b, 1, b2)).value
+        if bound == 0.0:
+            assert got == want, (d, b)
+        else:
+            assert rel_err(got, want) <= bound, (d, b)
+
+
+def test_quarter_turns_are_taken_exactly():
+    # dyadic x, so x + q/2 is exact and the folded helpers agree bit for bit
+    for x in (0.0, 0.1875, -0.3125, 0.4375, 1.125):
+        for q in range(-4, 8):
+            shifted = x + q / 2
+            assert closed_form._quarter_turns(x, q) == sin_pi(shifted), (x, q)
+            assert abs(closed_form._quarter_turns(x, q)) == abs(
+                sin_pi(x) if q % 2 == 0 else cos_pi(x)
+            )
+            if sin_pi(shifted) != 0.0:
+                assert closed_form._quarter_turns(x, q, True) == csc_pi(shifted), (x, q)
+                want = csc_pi(x) if q % 2 == 0 else sec_pi(x)
+                assert abs(closed_form._quarter_turns(x, q, True)) == abs(want)
+    with pytest.raises(NumericError, match="sec"):
+        closed_form._quarter_turns(0.5, 3, True)
+    with pytest.raises(NumericError, match="cosec"):
+        closed_form._quarter_turns(1.0, -2, True)
+
+
 # --- tangent and doubled-range forms -----------------------------------------
 
 def test_tangent_known_values():
-    assert tangent_sum(SumSpec(Family.COS_TAN, 2, 1, 0.25)).value == 2.0
-    assert tangent_sum(SumSpec(Family.SIN_TAN, 2, 1, 0.25)).value == 0.0
+    assert closed_form_value(SumSpec(Family.COS_TAN, 2, 1, 0.25)).value == 2.0
+    assert closed_form_value(SumSpec(Family.SIN_TAN, 2, 1, 0.25)).value == 0.0
 
 
 def test_tangent_odd_d_against_oracle():
     spec = SumSpec(Family.COS_TAN, 3, 1, 1 / 12)
-    closed = tangent_sum(spec).value
+    closed = closed_form_value(spec).value
     oracle = direct_sum(spec).value
     assert rel_err(closed, oracle) <= 1e-12
     assert closed == pytest.approx(-(3 / 2) * (math.sqrt(3) - 1), rel=1e-13)
 
 
 def test_doubled_range_known_values():
-    got = double_range_cot_sum(SumSpec(Family.COS_COT_2D, 2, 1, 0.1)).value
+    got = closed_form_value(SumSpec(Family.COS_COT_2D, 2, 1, 0.1)).value
     assert got == pytest.approx(4 / math.sin(0.4 * math.pi), rel=1e-15)
     assert got == pytest.approx(4.2058488969530687, rel=1e-15)
-    assert double_range_cot_sum(SumSpec(Family.SIN_COT_2D, 2, 1, 0.1)).value == 0.0
+    assert closed_form_value(SumSpec(Family.SIN_COT_2D, 2, 1, 0.1)).value == 0.0
 
 
 def test_doubled_range_against_oracle():
     spec = SumSpec(Family.COS_COT_2D, 3, 2, 0.05)
-    closed = double_range_cot_sum(spec).value
+    closed = closed_form_value(spec).value
     assert rel_err(closed, direct_sum(spec).value) <= 1e-12
     assert closed == pytest.approx(7.0534230275096803, rel=1e-13)
 
@@ -343,20 +408,20 @@ def test_doubled_range_against_oracle():
 # --- triple products ----------------------------------------------------------
 
 def test_triple_known_value():
-    got = triple_product_sum(SumSpec(Family.COS_CSC_COS, 2, 1, 0.25, 1, 0.3)).value
+    got = closed_form_value(SumSpec(Family.COS_CSC_COS, 2, 1, 0.25, 1, 0.3)).value
     assert got == pytest.approx(2 * math.cos(0.05 * math.pi), rel=1e-14)
 
 
 def test_triple_reduces_to_cotangent_corollary_when_shifts_coincide():
     # cosec(x)*cos(x) = cot(x): the b2 = b triple is the first-power cotangent sum
-    triple = triple_product_sum(SumSpec(Family.COS_CSC_COS, 3, 1, 0.2, 1, 0.2)).value
+    triple = closed_form_value(SumSpec(Family.COS_CSC_COS, 3, 1, 0.2, 1, 0.2)).value
     corollary = corollary_value(SumSpec(Family.COS_COT, 3, 1, 0.2)).value
     assert triple == corollary
 
 
 def test_triple_two_singular_factors_against_oracle():
     spec = SumSpec(Family.COS_CSC_CSC, 3, 1, 0.1, 1, 0.3)
-    closed = triple_product_sum(spec).value
+    closed = closed_form_value(spec).value
     assert rel_err(closed, direct_sum(spec).value) <= 1e-12
     assert closed == pytest.approx(-3.7082039324993534, rel=1e-12)
 
@@ -427,7 +492,7 @@ def test_midpoint_sine_sums_are_exactly_zero():
         for family in (Family.SIN_CSC_COS, Family.SIN_CSC_SIN):
             spec = SumSpec(family, d, m, 0.137, 1, 0.447)
             assert direct_sum(spec).value == 0.0
-            assert triple_product_sum(spec).value == 0.0
+            assert closed_form_value(spec).value == 0.0
             assert sum_via_residues(spec).value == 0.0
 
 
