@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -268,6 +269,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         families = (Family.from_label(args.family),)
     offsets = tuple(args.b) if args.b else None
+    # the grid drops offsets on a singular set; a non-finite one is a usage error
+    for b in offsets or ():
+        if not math.isfinite(b):
+            raise ParameterError(f"--b must be finite, got {b!r}")
     cases = grid_cases(families, args.dmax, args.nmax, offsets)
     lines = [CSV_HEADER]
     lines += [evaluate_case(spec, b_index, PATH_NAMES, tol).csv_row() for spec, b_index in cases]

@@ -40,8 +40,11 @@ Both caches hold one (family, d) at a time, so a sweep over m builds
 the kernel once and a walk over the offsets of one d enumerates the
 tuples once.
 
-Shift arguments are handled in half-turn units and reduced before the
-factor of pi, so large b*d stays accurate.
+Each public entry validates its spec once and reduces b and b2 by the
+family's shift period (families.reduced_shifts) before any product such
+as m*b or d*b is formed; the helpers below work on the reduced shifts.
+Shift arguments are handled in half-turn units and reduced again before
+the factor of pi.
 """
 
 from __future__ import annotations
@@ -61,17 +64,13 @@ from .families import (
     as_sum_value,
     frequency_fold,
     is_classical,
+    reduced_shifts,
     validate_params,
 )
 from .multiindex import cot_coeff_product, csc_coeff_product, enumerate_compositions
-from .trig import cos_pi, csc_pi, phase, sec_pi, sin_pi
+from .trig import QUARTER_TURNS, cos_pi, csc_pi, phase, quarter_turns, sin_pi
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_SIN_COS = (sin_pi, cos_pi)
-_CSC_SEC = (csc_pi, sec_pi)
-# q of each factor kind written as sin, csc or cot of pi (x + q/2); tan is
-# minus the cot of x + 1/2
-_QUARTER_TURNS = {"cot": 0, "csc": 0, "sin": 0, "tan": 1, "sec": 1, "cos": 1}
 
 # theorem_sum slices kept warm; verify's order keeps len(offsets) * nmax
 # of them in use across one (family, d)
@@ -93,46 +92,47 @@ def _real_value(x: float) -> SumValue:
     return SumValue(x + 0.0, 0.0, "closed-form")
 
 
-def _quarter_turns(x: float, q: int, reciprocal: bool = False) -> float:
-    """sin(pi (x + q/2)), or its reciprocal, with the q quarter turns taken exactly."""
-    value = (_CSC_SEC if reciprocal else _SIN_COS)[q % 2](x)
-    return -value if q % 4 >= 2 else value
-
-
 def _cot_sum(prefix: str, d: int, m: int, b: float, k: int) -> float:
     """First-power cot sum of prefix(2 pi m j/d) * cot(pi (j/d + b + k/2)) over j < d."""
     s = 2 * m - d
     if prefix == "cos":
-        return d * _quarter_turns(s * b, s * k + 1) * _quarter_turns(b * d, d * k, True)
-    return -d * _quarter_turns(s * b, s * k) * _quarter_turns(b * d, d * k, True)
+        return d * quarter_turns(s * b, s * k + 1) * quarter_turns(b * d, d * k, True)
+    return -d * quarter_turns(s * b, s * k) * quarter_turns(b * d, d * k, True)
 
 
-def _reduced_sum(spec: SumSpec, traits: FamilyTraits) -> float:
-    """A tangent, doubled-range or triple-product sum as first-power cot sums."""
-    d, m, b, prefix = spec.d, spec.m, spec.b, traits.prefix
+def _reduced_sum(spec: SumSpec, traits: FamilyTraits, b: float, b2: float | None) -> float:
+    """A tangent, doubled-range or triple-product sum as first-power cot sums.
+
+    b and b2 are the spec's shifts reduced by its period.
+    """
+    d, m, prefix = spec.d, spec.m, traits.prefix
     if traits.kind == "double":
         return _cot_sum(prefix, 2 * d, 2 * m, b, 0)
-    k = _QUARTER_TURNS[traits.shift_kind]
+    k = QUARTER_TURNS[traits.shift_kind]
     if traits.kind == "tangent":
         return -_cot_sum(prefix, d, m, b, k)
-    b2 = spec.b2
     assert b2 is not None
-    r = _QUARTER_TURNS[traits.second_kind]
+    r = QUARTER_TURNS[traits.second_kind]
     if traits.second_kind in ("cos", "sin"):
-        return _quarter_turns(b2 - b, r - k) * _cot_sum(prefix, d, m, b, k)
+        return quarter_turns(b2 - b, r - k) * _cot_sum(prefix, d, m, b, k)
     return (_cot_sum(prefix, d, m, b, k) - _cot_sum(prefix, d, m, b2, r)) \
-        * _quarter_turns(b2 - b, r - k, True)
+        * quarter_turns(b2 - b, r - k, True)
 
 
 def corollary_value(spec: SumSpec) -> SumValue:
     """First-power closed form for the six power families."""
     spec = validate_params(spec)
-    traits = TRAITS[spec.family]
-    if traits.kind != "power":
+    if TRAITS[spec.family].kind != "power":
         raise ParameterError(f"corollary_value does not cover family {spec.family.value}")
     if spec.n != 1:
         raise ParameterError(f"corollary_value requires n = 1, got n = {spec.n}")
-    d, m, b = spec.d, spec.m, spec.b
+    return _corollary(spec, reduced_shifts(spec)[0])
+
+
+def _corollary(spec: SumSpec, b: float) -> SumValue:
+    """corollary_value of a validated spec whose shift, reduced, is b."""
+    traits = TRAITS[spec.family]
+    d, m = spec.d, spec.m
     if is_classical(spec):
         return _real_value(float(d - 2 * m))
     if traits.shift_kind == "cot":
@@ -234,18 +234,20 @@ def theorem_sum(spec: SumSpec) -> SumValue:
     arithmetic.
     """
     spec = validate_params(spec)
-    traits = TRAITS[spec.family]
-    if traits.kind != "power":
+    if TRAITS[spec.family].kind != "power":
         raise ParameterError(f"theorem_sum does not cover family {spec.family.value}")
+    return _theorem(spec, reduced_shifts(spec)[0])
+
+
+def _theorem(spec: SumSpec, b: float) -> SumValue:
+    """theorem_sum of a validated spec whose shift, reduced, is b."""
+    traits = TRAITS[spec.family]
     if is_classical(spec):
         return SumValue(float(spec.d - 2 * spec.m), 0.0, "multi-index")
     folded, fold_sign = frequency_fold(spec)
     if folded is None:
         return SumValue(0.0, 0.0, "multi-index")
-    if folded is not spec:
-        inner = theorem_sum(folded)
-        return SumValue(fold_sign * inner.value + 0.0, inner.imag_residual, "multi-index")
-    d, m, b, n = spec.d, spec.m, spec.b, spec.n
+    d, m, n = folded.d, folded.m, folded.n
     # cached weights and slices skip the coefficient calls, so the cap is checked here
     check_index(_composition_shape(traits, n)[0], "apostol_coeff")
     if traits.odd_m:
@@ -257,13 +259,16 @@ def theorem_sum(spec: SumSpec) -> SumValue:
     acc = 0j
     for mu, g, h in _slice_for(spec.family, d, b, n):
         acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
-    return as_sum_value(-acc, "multi-index")
+    # as_sum_value drops -0.0, so the unfolded value passes through unchanged
+    value = as_sum_value(-acc, "multi-index")
+    return SumValue(fold_sign * value.value + 0.0, value.imag_residual, "multi-index")
 
 
 def closed_form_value(spec: SumSpec) -> SumValue:
     """Dispatch to the closed form matching the family and power."""
     spec = validate_params(spec)
     traits = TRAITS[spec.family]
+    b, b2 = reduced_shifts(spec)
     if traits.kind != "power":
-        return _real_value(_reduced_sum(spec, traits))
-    return corollary_value(spec) if spec.n == 1 else theorem_sum(spec)
+        return _real_value(_reduced_sum(spec, traits, b, b2))
+    return _corollary(spec, b) if spec.n == 1 else _theorem(spec, b)

@@ -142,11 +142,26 @@ def as_sum_value(value: complex, path: str) -> SumValue:
     return SumValue(real, residual, path)
 
 
+def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
+    """b and b2 reduced below the family's shift period in magnitude.
+
+    fmod is exact, so the reduced shifts give the same sum, and products
+    such as m*b or d*b are formed from a shift under one period instead
+    of losing |b|*1e-16 to rounding. A shift already under one period is
+    returned unchanged: near the lattice the closed form and the residue
+    path amplify rounding, and moving b by a period there would change
+    which way their values round.
+    """
+    period = TRAITS[spec.family].shift_period
+    b2 = None if spec.b2 is None else math.fmod(spec.b2, period)
+    return math.fmod(spec.b, period), b2
+
+
 def pole_order(family: Family, n: int) -> int:
-    """Order of the interior pole of the integrand for this family."""
+    """Order of the interior pole of the integrand of a power family."""
     traits = TRAITS[family]
-    if traits.kind == "triple":
-        return 1
+    if traits.kind != "power":
+        raise ParameterError(f"no pole order for family {family.value}: not a power family")
     if traits.shift_kind == "cot":
         return n
     return 2 * n if not traits.odd_m else 2 * n - 1
@@ -207,7 +222,8 @@ def validate_params(spec: SumSpec) -> SumSpec:
     """Check a spec against its family's domain; return it unchanged.
 
     Raises ParameterError naming the violated condition: m out of range,
-    m parity, missing or extraneous b2, or a shift on the singular set.
+    m parity, missing or extraneous b2, a shift that is not finite, or a
+    shift on the singular set.
     """
     if not isinstance(spec.family, Family):
         spec = replace(spec, family=Family.from_label(str(spec.family)))
@@ -223,8 +239,12 @@ def validate_params(spec: SumSpec) -> SumSpec:
     if traits.kind == "triple":
         if spec.b2 is None:
             raise ParameterError(f"b2 required for family {spec.family.value}")
+        if not math.isfinite(spec.b2):
+            raise ParameterError(f"b2 must be finite, got {spec.b2!r}")
     elif spec.b2 is not None:
         raise ParameterError(f"b2 not accepted for family {spec.family.value}")
+    if not math.isfinite(spec.b):
+        raise ParameterError(f"b must be finite, got {spec.b!r}")
     if is_classical(spec):
         return spec
     _check_shift(spec.family, traits.shift_kind, spec.b, spec.d, "b")

@@ -1,8 +1,7 @@
 """Residue reconstruction of the sums from their contour integrands.
 
-Each supported family has an integrand f(z) built from an exponential
-numerator, a power of a shifted cotangent/cosecant (times an entire
-cos/sin factor for the triple-product families), and an exponential
+Each power family has an integrand f(z) built from an exponential
+numerator, a power of a shifted cotangent/cosecant, and an exponential
 kernel denominator. All residues of f over one period strip must sum
 to zero, which pins the sum of interest to the single interior residue:
 
@@ -13,12 +12,15 @@ while the boundary residues at z = j/d reproduce the individual terms.
 The interior residue is computed by truncated Laurent arithmetic in the
 local variable w = z - (1-b): expand every factor, multiply, read off
 the w^{-1} coefficient. Truncation runs to pole_order + 2, two guard
-terms beyond what the residue needs.
+terms beyond what the residue needs. The cot/csc series do not depend
+on b; b enters only through phases (the constant x1 and the kernel's
+t), so sum_via_residues reduces it by its period first and the phases
+stay accurate at large shifts.
 
-b enters twice: the pole is placed from b reduced by its floor (the
-factor series need the shift inside one period), while the constant
-phases multiply the assembled series afterwards and are computed from
-the original b, whose periodicity arguments they carry.
+The four csc x cos/sin product families are taken through the
+first-power cot residue, by the identity the closed form uses:
+csc x * sin(x + D) = sin D * cot x + cos D, whose constant sums to zero
+against the prefix (cos is sin a quarter turn on).
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .families import (
     as_sum_value,
     frequency_fold,
     pole_order,
+    reduced_shifts,
     validate_params,
 )
-from .trig import cos_pi, cot_pi, csc_pi, phase, phase_ratio, sin_pi
+from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
 
 RECIPROCAL_TOL = 1e-12
 
@@ -47,8 +50,6 @@ FACTOR_KINDS = (
     "exp_linear",
     "cot_shifted",
     "csc_shifted",
-    "cos_shifted",
-    "sin_shifted",
     "apostol_kernel",
 )
 
@@ -171,8 +172,6 @@ def expand_factor(kind: str, params: Mapping[str, complex], order: int) -> Laure
       exp_linear     {"coefficient": c}      sum (c w)^k / k!
       cot_shifted    {}                      sum cot_coeff(j) pi^{2j-1} w^{2j-1}
       csc_shifted    {}                      sum csc_coeff(j) pi^{2j-1} w^{2j-1}
-      cos_shifted    {"shift": u}            Taylor of cos(pi w + pi u), u in half turns
-      sin_shifted    {"shift": u}            Taylor of sin(pi w + pi u)
       apostol_kernel {"t": t, "scale": c}    sum A_nu(t) (c w)^nu / nu!
 
     The exp_linear series omits its constant prefactor e^{c z0}; the
@@ -199,53 +198,41 @@ def expand_factor(kind: str, params: Mapping[str, complex], order: int) -> Laure
         return LaurentSeries(
             0, tuple(c ** k / math.factorial(k) for k in range(order + 1)), order
         )
-    if kind == "apostol_kernel":
-        t = complex(params["t"])
-        scale = complex(params["scale"])
-        table = apostol_coeff_table(order, t)
-        return LaurentSeries(
-            0,
-            tuple(table[k] * scale ** k / math.factorial(k) for k in range(order + 1)),
-            order,
-        )
-    u = float(params["shift"].real if isinstance(params["shift"], complex) else params["shift"])
-    osc = cos_pi if kind == "cos_shifted" else sin_pi
+    t = complex(params["t"])
+    scale = complex(params["scale"])
+    table = apostol_coeff_table(order, t)
     return LaurentSeries(
         0,
-        tuple(
-            complex(math.pi ** k * osc(u + k * 0.5) / math.factorial(k))
-            for k in range(order + 1)
-        ),
+        tuple(table[k] * scale ** k / math.factorial(k) for k in range(order + 1)),
         order,
     )
 
 
 @dataclass(frozen=True)
 class IntegrandDescriptor:
-    """A residue-engine job: family parameters plus the interior pole order."""
+    """A residue-engine job: power-family parameters plus the interior pole order."""
     family: Family
     d: int
     m: int
     b: float
-    b2: float | None
     pole_order: int
 
     @classmethod
     def from_spec(cls, spec: SumSpec) -> "IntegrandDescriptor":
         spec = validate_params(spec)
-        if not TRAITS[spec.family].supports_residue:
-            raise ParameterError(
-                f"family {spec.family.value} is not covered by the residue engine"
-            )
-        return cls(spec.family, spec.d, spec.m, spec.b, spec.b2,
-                   pole_order(spec.family, spec.n))
+        if TRAITS[spec.family].kind != "power":
+            raise _uncovered(spec.family)
+        return cls(spec.family, spec.d, spec.m, spec.b, pole_order(spec.family, spec.n))
+
+
+def _uncovered(family: Family) -> ParameterError:
+    return ParameterError(f"family {family.value} is not covered by the residue engine")
 
 
 def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
     traits = TRAITS[desc.family]
     order = desc.pole_order + 2
     d, m, b = desc.d, desc.m, desc.b
-    b_reduced = b - math.floor(b)
     if traits.odd_m:
         x1 = phase(-m * (b - 1.0))
         x1c = phase(m * (b - 1.0))
@@ -254,16 +241,8 @@ def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
         x1 = phase(-2.0 * m * b)
         x1c = phase(2.0 * m * b)
         exp_coeff = 2j * math.pi * m
-    if traits.kind == "power":
-        base_kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
-        singular = series_pow(expand_factor(base_kind, {}, order), desc.pole_order)
-    else:
-        assert desc.b2 is not None
-        aux_kind = "cos_shifted" if traits.second_kind == "cos" else "sin_shifted"
-        aux = expand_factor(aux_kind, {"shift": 1.0 + desc.b2 - b_reduced}, order)
-        singular = series_mul(expand_factor("csc_shifted", {}, order), aux)
-        # the cosecant flips sign when b crosses an odd integer multiple
-        singular = series_scale(singular, (-1.0) ** (math.floor(b) % 2))
+    base_kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
+    singular = series_pow(expand_factor(base_kind, {}, order), desc.pole_order)
     plus = series_mul(
         series_mul(expand_factor("exp_linear", {"coefficient": exp_coeff}, order), singular),
         expand_factor("apostol_kernel", {"t": phase(-2.0 * d * b), "scale": 2j * math.pi * d}, order),
@@ -290,16 +269,10 @@ def boundary_residues(desc: IntegrandDescriptor) -> tuple[complex, ...]:
     traits = TRAITS[desc.family]
     d, m, b = desc.d, desc.m, desc.b
     beta = math.remainder(b, float(traits.shift_period))
+    base = cot_pi if traits.shift_kind == "cot" else csc_pi
     out = []
     for j in range(d):
-        if traits.kind == "power":
-            base = cot_pi if traits.shift_kind == "cot" else csc_pi
-            factor = base(j / d + beta) ** desc.pole_order
-        else:
-            assert desc.b2 is not None
-            beta2 = math.remainder(desc.b2, float(traits.shift_period))
-            second = cos_pi if traits.second_kind == "cos" else sin_pi
-            factor = csc_pi(j / d + beta) * second(j / d + beta2)
+        factor = base(j / d + beta) ** desc.pole_order
         num = (m if traits.odd_m else 2 * m) * j
         plus = phase_ratio(num, d) * factor
         minus = phase_ratio(-num, d) * factor
@@ -310,19 +283,31 @@ def boundary_residues(desc: IntegrandDescriptor) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _power_sum(family: Family, d: int, m: int, b: float, n: int) -> complex:
+    """The power-family sum at (d, m, b, n), from its interior residue."""
+    res = residue_at_interior_pole(IntegrandDescriptor(family, d, m, b, pole_order(family, n)))
+    scale = -(math.pi * 1j * d) if TRAITS[family].prefix == "cos" else complex(-(math.pi * d))
+    return scale * res
+
+
 def sum_via_residues(spec: SumSpec) -> SumValue:
     """Reconstruct the sum from the interior residue alone."""
     spec = validate_params(spec)
+    traits = TRAITS[spec.family]
+    if not traits.supports_residue:
+        raise _uncovered(spec.family)
     folded, fold_sign = frequency_fold(spec)
     if folded is None:
-        if not TRAITS[spec.family].supports_residue:
-            raise ParameterError(
-                f"family {spec.family.value} is not covered by the residue engine"
-            )
         return SumValue(0.0, 0.0, "residue")
-    desc = IntegrandDescriptor.from_spec(folded)
-    res = residue_at_interior_pole(desc)
-    scale = -(math.pi * 1j * folded.d) if TRAITS[folded.family].prefix == "cos" else \
-        complex(-(math.pi * folded.d))
-    value = scale * res
+    d, m = folded.d, folded.m
+    b, b2 = reduced_shifts(spec)
+    if traits.kind == "power":
+        value = _power_sum(spec.family, d, m, b, spec.n)
+    else:
+        # csc x * sin(x + D) = sin D * cot x + cos D with D = pi (b2 - b + r/2), r the
+        # quarter turns taking sin to the second factor; cos D sums to zero
+        assert b2 is not None
+        cot = Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT
+        value = quarter_turns(b2 - b, QUARTER_TURNS[traits.second_kind]) \
+            * _power_sum(cot, d, m, b, 1)
     return as_sum_value(complex(fold_sign * value.real, fold_sign * value.imag), "residue")

@@ -86,6 +86,24 @@ def sec_pi(x: float) -> float:
     return 1.0 / cos_pi(x)
 
 
+_SIN_COS = (sin_pi, cos_pi)
+_CSC_SEC = (csc_pi, sec_pi)
+
+# q of each function written as sin, csc or cot of pi (x + q/2); tan is
+# minus the cot of x + 1/2
+QUARTER_TURNS = {"cot": 0, "csc": 0, "sin": 0, "tan": 1, "sec": 1, "cos": 1}
+
+
+def quarter_turns(x: float, q: int, reciprocal: bool = False) -> float:
+    """sin(pi (x + q/2)), or its reciprocal, with the q quarter turns taken exactly.
+
+    The integer q picks +-sin/+-cos (or +-csc/+-sec) of x, so no float
+    q/2 is added to x and the pole guards see x itself.
+    """
+    value = (_CSC_SEC if reciprocal else _SIN_COS)[q % 2](x)
+    return -value if q % 4 >= 2 else value
+
+
 def phase(x: float) -> complex:
     """Unit complex number e^{i*pi*x}, built from the folded sin/cos.
 

@@ -168,6 +168,9 @@ def test_acceptance_05_residue_reconstruction():
         n = 1 if traits.kind == "triple" else rng.randint(1, 3)
         b2 = rng.uniform(0.05, 0.95) if traits.kind == "triple" else None
         spec = SumSpec(family, d, m, rng.uniform(0.03, 0.97), n, b2)
+        if traits.kind == "triple":
+            # a csc x cos/sin product's residue is the n = 1 cot residue at (d, m, b)
+            spec = SumSpec(Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT, d, m, spec.b)
         try:
             desc = IntegrandDescriptor.from_spec(spec)
         except ParameterError:

@@ -290,6 +290,24 @@ def test_usage_errors_return_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "cos-cot", "--d", "3", "--m", "1", "--b", "nan"],
+        ["eval", "--family", "cos-cot", "--d", "3", "--m", "1", "--b", "inf"],
+        ["eval", "--family", "cos-cot", "--d", "3", "--m", "1", "--b=-inf", "--all-paths"],
+        ["eval", "--family", "cos-csc-cos", "--d", "3", "--m", "1", "--b", "0.1", "--b2", "inf"],
+        ["table", "--family", "cos-cot", "--dmax", "3", "--b", "nan"],
+    ],
+    ids=["eval-nan", "eval-inf", "all-paths-minus-inf", "eval-b2-inf", "table-nan"],
+)
+def test_non_finite_shift_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trigsum", "eval", "--family", "cos-cot",

@@ -14,6 +14,7 @@ from trigsum import (
     closed_form_value,
     corollary_value,
     direct_sum,
+    pole_order,
     sum_via_residues,
     theorem_sum,
     validate_params,
@@ -29,7 +30,7 @@ from trigsum.closed_form import (
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
-from trigsum.trig import cos_pi, csc_pi, sec_pi, sin_pi
+from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
 
 
 def rel_err(got, want):
@@ -362,18 +363,18 @@ def test_quarter_turns_are_taken_exactly():
     for x in (0.0, 0.1875, -0.3125, 0.4375, 1.125):
         for q in range(-4, 8):
             shifted = x + q / 2
-            assert closed_form._quarter_turns(x, q) == sin_pi(shifted), (x, q)
-            assert abs(closed_form._quarter_turns(x, q)) == abs(
+            assert quarter_turns(x, q) == sin_pi(shifted), (x, q)
+            assert abs(quarter_turns(x, q)) == abs(
                 sin_pi(x) if q % 2 == 0 else cos_pi(x)
             )
             if sin_pi(shifted) != 0.0:
-                assert closed_form._quarter_turns(x, q, True) == csc_pi(shifted), (x, q)
+                assert quarter_turns(x, q, True) == csc_pi(shifted), (x, q)
                 want = csc_pi(x) if q % 2 == 0 else sec_pi(x)
-                assert abs(closed_form._quarter_turns(x, q, True)) == abs(want)
+                assert abs(quarter_turns(x, q, True)) == abs(want)
     with pytest.raises(NumericError, match="sec"):
-        closed_form._quarter_turns(0.5, 3, True)
+        quarter_turns(0.5, 3, True)
     with pytest.raises(NumericError, match="cosec"):
-        closed_form._quarter_turns(1.0, -2, True)
+        quarter_turns(1.0, -2, True)
 
 
 # --- tangent and doubled-range forms -----------------------------------------
@@ -470,6 +471,56 @@ def test_shift_periodicity_of_closed_forms():
             v0 = corollary_value(SumSpec(family, 5, 3, b)).value
             v2 = corollary_value(SumSpec(family, 5, 3, b + 2.0)).value
             assert rel_err(v0, v2) <= 1e-10, (family, b)
+
+
+LARGE_B = 1e9 + 0.137
+LARGE_B2 = 1e12 + 0.31
+LARGE_SHIFTS = (
+    SumSpec(Family.COS_COT, 7, 2, LARGE_B),
+    SumSpec(Family.SIN_COT, 7, 2, -LARGE_B, 2),
+    SumSpec(Family.COS_CSC_ODD, 7, 3, LARGE_B, 2),
+    SumSpec(Family.SIN_CSC_2N, 7, 2, LARGE_B, 3),
+    SumSpec(Family.SIN_CSC_ODD, 7, 1, LARGE_B),
+    SumSpec(Family.COS_TAN, 7, 2, LARGE_B),
+    SumSpec(Family.SIN_COT_2D, 7, 2, LARGE_B),
+    SumSpec(Family.COS_CSC_CSC, 7, 2, 0.137, 1, LARGE_B2),
+    SumSpec(Family.COS_CSC_COS, 7, 2, 0.137, 1, LARGE_B2),
+    SumSpec(Family.SIN_CSC_SIN, 7, 3, LARGE_B, 1, LARGE_B2),
+    SumSpec(Family.SIN_SEC_SEC, 7, 3, 0.137, 1, -LARGE_B2),
+)
+
+
+def reference_sum(spec):
+    """The defining sum at 40 digits, from the exact float shifts."""
+    mpmath = pytest.importorskip("mpmath")
+    traits = TRAITS[spec.family]
+    fns = {"cot": mpmath.cot, "csc": mpmath.csc, "tan": mpmath.tan, "sec": mpmath.sec,
+           "cos": mpmath.cos, "sin": mpmath.sin}
+    power = pole_order(spec.family, spec.n) if traits.kind == "power" else 1
+    span = 2 * spec.d if traits.kind == "double" else spec.d
+    freq = spec.m if traits.odd_m else 2 * spec.m
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        total = mpmath.mpf(0)
+        for j in range(traits.oracle_start, span):
+            term = fns[traits.prefix](pi * freq * j / spec.d) \
+                * fns[traits.shift_kind](pi * (mpmath.mpf(j) / span + mpmath.mpf(spec.b))) ** power
+            if traits.second_kind is not None:
+                term *= fns[traits.second_kind](pi * (mpmath.mpf(j) / spec.d + mpmath.mpf(spec.b2)))
+            total += term
+        return float(total)
+
+
+@pytest.mark.parametrize("spec", LARGE_SHIFTS, ids=lambda s: s.family.value)
+def test_large_shifts_match_the_reference(spec):
+    # m*b or d*b formed from an unreduced shift of 1e9 or 1e12 is off by about
+    # |b|*1e-16, enough to move cos-cot by 1.6e-6 and cos-csc-csc by 1.0e-3
+    want = reference_sum(spec)
+    paths = [closed_form_value]
+    if TRAITS[spec.family].supports_residue:
+        paths.append(sum_via_residues)
+    for path in paths:
+        assert rel_err(path(spec).value, want) <= 1e-13, path.__name__
 
 
 def test_classical_limit_small_b():

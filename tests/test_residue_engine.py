@@ -3,6 +3,10 @@
 import cmath
 import math
 import random
+import re
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from trigsum import (
     boundary_residues,
     direct_sum,
     expand_factor,
+    pole_order,
     residue_at_interior_pole,
     series_add,
     series_eval,
@@ -29,6 +34,7 @@ from trigsum import (
     sum_via_residues,
     theorem_sum,
 )
+from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
 
 
@@ -83,8 +89,9 @@ def test_pow_examples():
 def test_cot_times_sin_is_cos():
     order = 10
     cot = expand_factor("cot_shifted", {}, order)
-    sin = expand_factor("sin_shifted", {"shift": 0.0}, order)
-    cos = expand_factor("cos_shifted", {"shift": 0.0}, order)
+    taylor = [math.pi ** k / math.factorial(k) for k in range(order + 1)]
+    sin = series_from_coeffs(0, [(0, 1, 0, -1)[k % 4] * t for k, t in enumerate(taylor)])
+    cos = series_from_coeffs(0, [(1, 0, -1, 0)[k % 4] * t for k, t in enumerate(taylor)])
     prod = series_mul(cot, sin)
     assert prod.min_degree >= 0
     assert coeffs_close(prod, cos, 0, prod.truncation_order, 1e-10)
@@ -192,12 +199,13 @@ def test_expand_apostol_low_order():
 
 
 def test_expand_rejects_bad_requests():
-    with pytest.raises(ParameterError, match="unknown factor kind"):
-        expand_factor("tan_shifted", {}, 3)
+    for kind in ("tan_shifted", "cos_shifted"):
+        with pytest.raises(ParameterError, match="unknown factor kind"):
+            expand_factor(kind, {}, 3)
     with pytest.raises(ParameterError, match="below the pole degree"):
         expand_factor("cot_shifted", {}, -2)
     with pytest.raises(ParameterError, match="below the minimal degree"):
-        expand_factor("cos_shifted", {"shift": 0.0}, -1)
+        expand_factor("exp_linear", {"coefficient": 1.0}, -1)
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.1, 4.0])
@@ -213,12 +221,6 @@ def test_expansion_fidelity_on_small_circle(theta):
 
     got = series_eval(expand_factor("csc_shifted", {}, 14), w)
     assert abs(got - (-1.0 / cmath.sin(math.pi * w))) <= 1e-9
-
-    u = 0.37
-    got = series_eval(expand_factor("cos_shifted", {"shift": u}, 12), w)
-    assert abs(got - cmath.cos(math.pi * (w + u))) <= 1e-9
-    got = series_eval(expand_factor("sin_shifted", {"shift": u}, 12), w)
-    assert abs(got - cmath.sin(math.pi * (w + u))) <= 1e-9
 
     got = series_eval(expand_factor("apostol_kernel", {"t": 2.0, "scale": 1.0}, 12), w)
     assert abs(got - 1.0 / (2.0 * cmath.exp(w) - 1.0)) <= 1e-9
@@ -239,19 +241,20 @@ def test_descriptor_pole_orders():
     assert IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 5, 2, 0.1, 3)).pole_order == 3
     assert IntegrandDescriptor.from_spec(SumSpec(Family.SIN_CSC_2N, 5, 2, 0.1, 2)).pole_order == 4
     assert IntegrandDescriptor.from_spec(SumSpec(Family.SIN_CSC_ODD, 5, 3, 0.1, 2)).pole_order == 3
-    assert IntegrandDescriptor.from_spec(
-        SumSpec(Family.COS_CSC_COS, 5, 2, 0.1, 1, 0.4)
-    ).pole_order == 1
 
 
 def test_descriptor_rejects_uncovered_families():
+    # the csc x cos/sin products go through the cot residue, not an integrand of their own
     for spec in (
+        SumSpec(Family.COS_CSC_COS, 5, 2, 0.1, 1, 0.4),
         SumSpec(Family.COS_TAN, 5, 2, 0.17),
         SumSpec(Family.COS_SEC_COS, 5, 2, 0.07, 1, 0.2),
         SumSpec(Family.SIN_SEC_SEC, 5, 2, 0.07, 1, 0.21),
     ):
         with pytest.raises(ParameterError, match="not covered by the residue engine"):
             IntegrandDescriptor.from_spec(spec)
+    with pytest.raises(ParameterError, match="not a power family"):
+        pole_order(Family.COS_CSC_COS, 1)
 
 
 def test_interior_residue_examples():
@@ -324,6 +327,9 @@ def test_residue_closure_over_one_period():
         n = 1 if traits.kind == "triple" else rng.randint(1, 3)
         b2 = rng.uniform(0.05, 0.95) if traits.kind == "triple" else None
         spec = SumSpec(family, d, m, rng.uniform(0.03, 0.97), n, b2)
+        if traits.kind == "triple":
+            # a csc x cos/sin product's residue is the n = 1 cot residue at (d, m, b)
+            spec = SumSpec(Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT, d, m, spec.b)
         try:
             desc = IntegrandDescriptor.from_spec(spec)
         except ParameterError:
@@ -343,6 +349,16 @@ def test_sum_via_residues_examples():
     assert sum_via_residues(SumSpec(Family.SIN_COT, 2, 1, 0.25)).value == 0.0
     got = sum_via_residues(SumSpec(Family.SIN_CSC_ODD, 2, 1, 0.25)).value
     assert got == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+def test_product_families_through_the_cot_residue_match_the_oracle():
+    products = [f for f in RESIDUE_FAMILIES if TRAITS[f].kind == "triple"]
+    cases = grid_cases(products, 20, 1)
+    for spec, _ in cases:
+        got = sum_via_residues(spec).value
+        want = direct_sum(spec).value
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want)), spec
+    assert len(cases) > 2000
 
 
 def test_sum_via_residues_rejects_uncovered_families():
@@ -367,3 +383,17 @@ def test_sum_via_residues_shift_conventions():
         got = sum_via_residues(spec).value
         want = direct_sum(spec).value
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), spec
+
+
+# --- tooling ------------------------------------------------------------------------
+
+def test_closure_scan_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "closure_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--cases", "50"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("50 draws")
+    ratio = float(re.search(r"max residual ratio\s+(\S+)", out).group(1))
+    assert ratio < 1e-10
