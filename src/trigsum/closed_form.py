@@ -34,11 +34,12 @@ the residual, never silently dropped.
 
 Only x1, x1' and m^mu/mu! depend on m, and only the kernel and the
 powers of d depend on (d, b). The exact tuple weights are summed once
-per (mu, nu) into composition weights, cached per (family, d, n); the
-rest is folded into a frequency-free slice, cached per (family, d, b, n).
-Both caches hold one (family, d) at a time, so a sweep over m builds
-the kernel once and a walk over the offsets of one d enumerates the
-tuples once.
+per (mu, nu) into composition weights, which depend only on the shape
+of the sum (family kind and n); the rest is folded into a
+frequency-free slice per (family, d, b, n). Both are kept for one
+family walk (families.enter_walk): a sweep over m builds the kernel
+once, and a walk over the d, b and n of one family enumerates the
+tuples once per n.
 
 Each public entry validates its spec once and reduces b and b2 by the
 family's shift period (families.reduced_shifts) before any product such
@@ -49,7 +50,6 @@ the factor of pi.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -62,10 +62,12 @@ from .families import (
     SumSpec,
     SumValue,
     as_sum_value,
+    enter_walk,
     frequency_fold,
     is_classical,
     reduced_shifts,
     validate_params,
+    walk_cache,
 )
 from .multiindex import cot_coeff_product, csc_coeff_product, enumerate_compositions
 from .trig import QUARTER_TURNS, cos_pi, csc_pi, phase, quarter_turns, sin_pi
@@ -75,17 +77,6 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # theorem_sum slices kept warm; verify's order keeps len(offsets) * nmax
 # of them in use across one (family, d)
 SLICE_CACHE_SIZE = 64
-
-# the (family, d) whose weights and slices the caches hold. A call on
-# another (family, d) drops them, so a walk over m and b reuses them, the
-# weights stay at one entry per n, and a walk that starts on a
-# (family, d) other than the last one called starts cold: its work does
-# not depend on what ran before it. The weights do not depend on d, but
-# keeping them across (family, d) would let a run find the weights an
-# earlier run built, so its traced counts would not repeat. Concurrent
-# callers on different (family, d) only cost rebuilds; no value depends
-# on the caches
-_walk: tuple[Family, int] | None = None
 
 
 def _real_value(x: float) -> SumValue:
@@ -162,7 +153,7 @@ def _composition_shape(traits: FamilyTraits, n: int) -> tuple[int, int, str]:
     return 2 * n - 2, 2 * n - 1, "mu_plus_nu_even"
 
 
-@functools.lru_cache(maxsize=None)
+@walk_cache()
 def _composition_weights(
     kind: str, total: int, parts: int, parity: str
 ) -> tuple[tuple[int, int, float], ...]:
@@ -182,19 +173,18 @@ def _composition_weights(
     return tuple((mu, nu, float(w)) for (mu, nu), w in weights.items())
 
 
-@functools.lru_cache(maxsize=SLICE_CACHE_SIZE)
+@walk_cache(SLICE_CACHE_SIZE)
 def _power_slice(
     family: Family, d: int, b: float, n: int
 ) -> tuple[tuple[int, complex, complex], ...]:
     """The frequency-free part of theorem_sum for one (family, d, b, n).
 
     One entry (mu, G, H) per (mu, nu) pair of the composition sum: its
-    composition weight (cached per (family, d, n), see
-    _composition_weights), times the powers of i and 2, d^{nu+1}/nu! and
-    the kernel coefficient A_nu at x2 (G) or at its conjugate, with the
-    combination sign (H). The value at frequency m is
-    -sum m^mu/mu! * (x1*G + x1'*H). The pairs are not summed over nu
-    here: that reorders the cancellation between them.
+    composition weight (see _composition_weights), times the powers of i
+    and 2, d^{nu+1}/nu! and the kernel coefficient A_nu at x2 (G) or at
+    its conjugate, with the combination sign (H). The value at frequency
+    m is -sum m^mu/mu! * (x1*G + x1'*H). The pairs are not summed over
+    nu here: that reorders the cancellation between them.
     """
     traits = TRAITS[family]
     odd = traits.odd_m
@@ -213,25 +203,13 @@ def _power_slice(
     return tuple(out)
 
 
-def _slice_for(
-    family: Family, d: int, b: float, n: int
-) -> tuple[tuple[int, complex, complex], ...]:
-    global _walk
-    if _walk != (family, d):
-        _power_slice.cache_clear()
-        _composition_weights.cache_clear()
-        _walk = (family, d)
-    return _power_slice(family, d, b, n)
-
-
 def theorem_sum(spec: SumSpec) -> SumValue:
     """General multi-index evaluation for the six power families, any n.
 
-    The composition weights are cached per (family, d, n) and the
-    frequency-free slice per (family, d, b, n) while the calls stay on
-    one (family, d), so a sweep over m builds the slice once and a sweep
-    over b enumerates the tuples once; cold and warm calls take the same
-    arithmetic.
+    The composition weights (per n) and the frequency-free slices (per
+    d, b and n) are kept while the calls stay on one family, so a sweep
+    over m builds the slice once and a sweep over d and b enumerates the
+    tuples once per n; cold and warm calls take the same arithmetic.
     """
     spec = validate_params(spec)
     if TRAITS[spec.family].kind != "power":
@@ -241,6 +219,7 @@ def theorem_sum(spec: SumSpec) -> SumValue:
 
 def _theorem(spec: SumSpec, b: float) -> SumValue:
     """theorem_sum of a validated spec whose shift, reduced, is b."""
+    enter_walk(spec.family)
     traits = TRAITS[spec.family]
     if is_classical(spec):
         return SumValue(float(spec.d - 2 * spec.m), 0.0, "multi-index")
@@ -257,7 +236,7 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
         x1 = phase(-2.0 * m * b)
         x1c = phase(2.0 * m * b)
     acc = 0j
-    for mu, g, h in _slice_for(spec.family, d, b, n):
+    for mu, g, h in _power_slice(spec.family, d, b, n):
         acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
     # as_sum_value drops -0.0, so the unfolded value passes through unchanged
     value = as_sum_value(-acc, "multi-index")

@@ -5,11 +5,13 @@ Each family is a finite sum over j of an oscillating prefix factor
 families) times one or two shifted singular factors. The catalog
 records, per family, the singular factor kinds, the summation range,
 which evaluation paths apply, and the exclusion set of shifts where a
-term would sit on a pole.
+term would sit on a pole. It also holds the family walk, the scope of
+the m-, d- and b-free tables the closed form and the residue path keep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -106,7 +108,7 @@ TRIPLE_FAMILIES = tuple(f for f in Family if TRAITS[f].kind == "triple")
 RESIDUE_FAMILIES = tuple(f for f in Family if TRAITS[f].supports_residue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumSpec:
     """One fully specified sum: family, range d, frequency m, shifts."""
     family: Family
@@ -117,7 +119,7 @@ class SumSpec:
     b2: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumValue:
     """An evaluated sum: real value, discarded imaginary magnitude, path."""
     value: float
@@ -155,6 +157,36 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
     period = TRAITS[spec.family].shift_period
     b2 = None if spec.b2 is None else math.fmod(spec.b2, period)
     return math.fmod(spec.b, period), b2
+
+
+# The family walk: the run of consecutive calls on one family, which is
+# how verify, table and the sweeps order their work. The walk caches keep
+# their tables for one walk and drop them when a call enters another
+# family, so a walk that starts on a family other than the last one
+# called starts cold: its work does not depend on what ran before it. A
+# process-wide memo would let a run find the tables an earlier run built,
+# and its traced counts would not repeat. Concurrent callers on different
+# families only cost rebuilds; no value depends on the caches.
+_walk: Family | None = None
+_WALK_CACHES: list = []
+
+
+def walk_cache(maxsize: int | None = None):
+    """functools.lru_cache(maxsize=maxsize), dropped when the walk changes family."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        _WALK_CACHES.append(cached)
+        return cached
+    return decorate
+
+
+def enter_walk(family: Family) -> None:
+    """Continue the walk on family, or start a new one with every walk cache empty."""
+    global _walk
+    if family is not _walk:
+        for cache in _WALK_CACHES:
+            cache.cache_clear()
+        _walk = family
 
 
 def pole_order(family: Family, n: int) -> int:
@@ -247,23 +279,27 @@ def validate_params(spec: SumSpec) -> SumSpec:
         raise ParameterError(f"b must be finite, got {spec.b!r}")
     if is_classical(spec):
         return spec
-    _check_shift(spec.family, traits.shift_kind, spec.b, spec.d, "b")
+    # the singular sets are tested on the reduced shifts: a product such as
+    # b*d formed from b = 1e9 + x rounds to within 1e-8 of an integer for
+    # most x. A shift moves by whole periods, so no distance below changes
+    b, b2 = reduced_shifts(spec)
+    _check_shift(spec.family, traits.shift_kind, b, spec.d, "b")
     if traits.kind == "triple":
-        assert spec.b2 is not None
+        assert b2 is not None
         if traits.second_kind in ("csc", "sec"):
-            _check_shift(spec.family, traits.second_kind, spec.b2, spec.d, "b2")
+            _check_shift(spec.family, traits.second_kind, b2, spec.d, "b2")
         pair = (traits.shift_kind, traits.second_kind)
         # cross-factor degeneracies of the two-term closed forms
         if pair in (("csc", "csc"), ("sec", "sec")):
-            if dist_to_int(spec.b - spec.b2) <= EPS_EXCL:
+            if dist_to_int(b - b2) <= EPS_EXCL:
                 raise ParameterError(
                     "parameter on singular set: b and b2 congruent mod 1 "
-                    f"(b - b2 = {spec.b - spec.b2!r}, excluded for {spec.family.value})"
+                    f"(b - b2 = {b - b2!r}, excluded for {spec.family.value})"
                 )
         elif pair == ("csc", "sec"):
-            if dist_to_int(spec.b - spec.b2 - 0.5) <= EPS_EXCL:
+            if dist_to_int(b - b2 - 0.5) <= EPS_EXCL:
                 raise ParameterError(
                     "parameter on singular set: b - b2 congruent to 1/2 mod 1 "
-                    f"(b - b2 = {spec.b - spec.b2!r}, excluded for {spec.family.value})"
+                    f"(b - b2 = {b - b2!r}, excluded for {spec.family.value})"
                 )
     return spec

@@ -12,9 +12,11 @@ while the boundary residues at z = j/d reproduce the individual terms.
 The interior residue is computed by truncated Laurent arithmetic in the
 local variable w = z - (1-b): expand every factor, multiply, read off
 the w^{-1} coefficient. Truncation runs to pole_order + 2, two guard
-terms beyond what the residue needs. The cot/csc series do not depend
-on b; b enters only through phases (the constant x1 and the kernel's
-t), so sum_via_residues reduces it by its period first and the phases
+terms beyond what the residue needs. The cot/csc power does not depend
+on d, b or m, so it is built once per (kind, pole order) and kept for
+the family walk (families.enter_walk), as the closed form keeps its
+composition weights. b enters only through phases (the constant x1 and
+the kernel's t), so it is reduced by its period first and the phases
 stay accurate at large shifts.
 
 The four csc x cos/sin product families are taken through the
@@ -37,10 +39,12 @@ from .families import (
     SumSpec,
     SumValue,
     as_sum_value,
+    enter_walk,
     frequency_fold,
     pole_order,
     reduced_shifts,
     validate_params,
+    walk_cache,
 )
 from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
 
@@ -222,11 +226,18 @@ class IntegrandDescriptor:
         spec = validate_params(spec)
         if TRAITS[spec.family].kind != "power":
             raise _uncovered(spec.family)
-        return cls(spec.family, spec.d, spec.m, spec.b, pole_order(spec.family, spec.n))
+        b = reduced_shifts(spec)[0]
+        return cls(spec.family, spec.d, spec.m, b, pole_order(spec.family, spec.n))
 
 
 def _uncovered(family: Family) -> ParameterError:
     return ParameterError(f"family {family.value} is not covered by the residue engine")
+
+
+@walk_cache()
+def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
+    """The cot or csc factor raised to the pole order, through w^(pole_order + 2)."""
+    return series_pow(expand_factor(kind, {}, pole_order + 2), pole_order)
 
 
 def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
@@ -242,7 +253,7 @@ def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
         x1c = phase(2.0 * m * b)
         exp_coeff = 2j * math.pi * m
     base_kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
-    singular = series_pow(expand_factor(base_kind, {}, order), desc.pole_order)
+    singular = _singular_power(base_kind, desc.pole_order)
     plus = series_mul(
         series_mul(expand_factor("exp_linear", {"coefficient": exp_coeff}, order), singular),
         expand_factor("apostol_kernel", {"t": phase(-2.0 * d * b), "scale": 2j * math.pi * d}, order),
@@ -296,6 +307,8 @@ def sum_via_residues(spec: SumSpec) -> SumValue:
     traits = TRAITS[spec.family]
     if not traits.supports_residue:
         raise _uncovered(spec.family)
+    # a product family walks as itself, though its residue is the cot one
+    enter_walk(spec.family)
     folded, fold_sign = frequency_fold(spec)
     if folded is None:
         return SumValue(0.0, 0.0, "residue")

@@ -69,6 +69,27 @@ def test_eval_rejects_singular_shift(capsys):
     assert "parameter on singular set" in err
 
 
+def test_eval_tests_the_singular_set_on_the_reduced_shift(capsys):
+    # b*7 rounds to the integer 7000000001.0, though 7b is 3.6e-7 from one
+    mpmath = pytest.importorskip("mpmath")
+    b = "1000000000.1428572"
+    code, out, _ = run(capsys, ["eval", "--family", "cos-cot", "--d", "7", "--m", "2", "--b", b])
+    assert code == 0
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        want = mpmath.fsum(
+            mpmath.cos(pi * 4 * j / 7) * mpmath.cot(pi * (mpmath.mpf(j) / 7 + mpmath.mpf(float(b))))
+            for j in range(7)
+        )
+    assert abs(float(out) - want) <= 1e-12 * abs(want)
+    # a shift on the lattice at 1e9 is still refused, with the product of the reduced shift
+    code, _, err = run(capsys, ["eval", "--family", "cos-cot", "--d", "8", "--m", "2",
+                                "--b", "1000000000.125"])
+    assert code == 2
+    assert "parameter on singular set: b*8 = 1.0 is within 1e-08 of an integer " \
+        "(excluded for cos-cot)" in err
+
+
 def test_eval_rejects_unknown_family(capsys):
     code, _, err = run(capsys, ["eval", "--family", "cos-what", "--d", "4", "--m", "1", "--b", "0.1"])
     assert code == 2

@@ -1,5 +1,6 @@
 """Closed-form paths: known values, reductions, symmetry invariants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from trigsum.closed_form import (
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
+from trigsum.residue_engine import _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
 
 
@@ -236,20 +238,32 @@ def test_slice_cache_is_bounded():
     assert _power_slice.cache_info().currsize == SLICE_CACHE_SIZE
 
 
-def test_slice_cache_holds_one_family_and_d():
+def test_walk_caches_hold_one_family():
     def sizes():
-        return _power_slice.cache_info().currsize, _composition_weights.cache_info().currsize
+        return (_power_slice.cache_info().currsize,
+                _composition_weights.cache_info().currsize,
+                _singular_power.cache_info().currsize)
 
+    theorem_sum(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1)
+    sum_via_residues(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
+    assert sizes() == (1, 1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1)
+    assert sizes() == (1, 1, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
-    assert sizes() == (2, 2)
-    theorem_sum(SumSpec(Family.COS_COT, 7, 3, 0.3, 3))
-    assert sizes() == (3, 2)
+    assert sizes() == (2, 2, 0)
+    # the weights depend only on (kind, n), so a new d or b reuses them
+    built = _composition_weights.cache_info().misses
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    assert sizes() == (1, 1)
+    theorem_sum(SumSpec(Family.COS_COT, 9, 1, 0.3, 3))
+    assert _composition_weights.cache_info().misses == built
+    sum_via_residues(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
+    assert sizes() == (4, 2, 1)
+    # a product family walks as itself, not as the cot family its residue uses
+    sum_via_residues(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
+    assert sizes() == (0, 0, 1)
+    theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
+    assert sizes() == (1, 1, 0)
 
 
 def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
@@ -261,16 +275,16 @@ def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
 
     monkeypatch.setattr(closed_form, "enumerate_compositions", counted)
     specs = [spec for spec, _ in grid_cases(POWER_FAMILIES[:2], 5, 3) if spec.n >= 2]
+    # end the walk whatever ran before, so the first pass starts cold as well
+    theorem_sum(SumSpec(POWER_FAMILIES[2], 5, 1, 0.137, 2))
     passes = []
     for _ in range(3):
         made.clear()
         values = [_bits(theorem_sum(spec)) for spec in specs]
         passes.append((len(made), values))
     assert passes[0] == passes[1] == passes[2]
-    # one enumeration per (family, d, n) of the grid, not one per b or m
-    weights = {(s.family, s.d, s.n) for s in specs}
-    slices = {(s.family, s.d, s.b, s.n) for s in specs}
-    assert passes[0][0] <= len(weights) < len(slices) < len(specs)
+    # one enumeration per (family, n) of the grid, not one per d, b or m
+    assert passes[0][0] == len({(s.family, s.n) for s in specs}) == 4
 
 
 def _power_series_coefficients(coeff, parts, top):
@@ -490,6 +504,17 @@ LARGE_SHIFTS = (
 )
 
 
+def prefix_vanishes(prefix, k, d):
+    """cos or sin(pi k/d) is exactly 0, by integer test.
+
+    At 40 digits such a prefix reads about 1e-41, and times a near-pole
+    term that is far from negligible.
+    """
+    if prefix == "cos":
+        return (2 * k - d) % (2 * d) == 0
+    return k % d == 0
+
+
 def reference_sum(spec):
     """The defining sum at 40 digits, from the exact float shifts."""
     mpmath = pytest.importorskip("mpmath")
@@ -503,6 +528,8 @@ def reference_sum(spec):
         pi = mpmath.pi
         total = mpmath.mpf(0)
         for j in range(traits.oracle_start, span):
+            if prefix_vanishes(traits.prefix, freq * j, spec.d):
+                continue
             term = fns[traits.prefix](pi * freq * j / spec.d) \
                 * fns[traits.shift_kind](pi * (mpmath.mpf(j) / span + mpmath.mpf(spec.b))) ** power
             if traits.second_kind is not None:
@@ -545,6 +572,24 @@ def test_midpoint_sine_sums_are_exactly_zero():
             assert direct_sum(spec).value == 0.0
             assert closed_form_value(spec).value == 0.0
             assert sum_via_residues(spec).value == 0.0
+
+
+def test_reference_prefix_zeros_are_exact():
+    mpmath = pytest.importorskip("mpmath")
+    for d in range(2, 13):
+        for k in range(-3 * d, 3 * d):
+            for prefix, fn in (("cos", mpmath.cos), ("sin", mpmath.sin)):
+                with mpmath.workdps(40):
+                    small = abs(fn(mpmath.pi * k / d)) < mpmath.mpf(10) ** -30
+                assert prefix_vanishes(prefix, k, d) == small, (prefix, k, d)
+
+
+def test_specs_and_values_keep_no_instance_dict():
+    spec = SumSpec(Family.COS_COT, 7, 2, 0.137, 2)
+    for obj in (spec, theorem_sum(spec)):
+        assert not hasattr(obj, "__dict__")
+    moved = dataclasses.replace(spec, m=3)
+    assert moved == SumSpec(Family.COS_COT, 7, 3, 0.137, 2) and spec.m == 2
 
 
 def test_validate_is_idempotent():

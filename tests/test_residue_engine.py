@@ -33,9 +33,11 @@ from trigsum import (
     series_scale,
     sum_via_residues,
     theorem_sum,
+    validate_params,
 )
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
+from trigsum.residue_engine import _singular_power
 
 
 def coeffs_close(a, b, lo, hi, tol):
@@ -339,6 +341,32 @@ def test_residue_closure_over_one_period():
         scale = max(abs(r) for r in bres)
         assert abs(total) <= 1e-10 * scale, spec
         checked += 1
+
+
+def test_residue_closure_at_a_large_shift():
+    # the descriptor reduces b by its period, so m*b and d*b keep their digits
+    for b in (0.137, 1e9 + 0.137):
+        desc = IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 7, 2, b, 2))
+        bres = boundary_residues(desc)
+        total = residue_at_interior_pole(desc) + sum(bres)
+        assert abs(total) <= 1e-12 * max(abs(r) for r in bres), b
+
+
+def test_singular_power_cold_and_warm_give_the_same_bits():
+    for family, d, n, b2 in ((Family.COS_COT, 9, 3, None), (Family.SIN_CSC_2N, 8, 3, None),
+                             (Family.COS_CSC_ODD, 9, 3, None), (Family.SIN_CSC_COS, 8, 1, 0.447)):
+        specs = [validate_params(SumSpec(family, dd, m, 0.137, n, b2))
+                 for dd in (d, d + 1) for m in range(1, dd)
+                 if not TRAITS[family].odd_m or m % 2]
+        for spec in specs:
+            _singular_power.cache_clear()
+            cold = sum_via_residues(spec)
+            for other in specs:
+                sum_via_residues(other)
+            assert _singular_power.cache_info().currsize == 1
+            warm = sum_via_residues(spec)
+            assert (warm.value.hex(), warm.imag_residual.hex()) == \
+                (cold.value.hex(), cold.imag_residual.hex()), spec
 
 
 # --- reconstructed sums ------------------------------------------------------------
