@@ -25,13 +25,11 @@ from .errors import NumericError, ParameterError
 from .families import (
     POWER_FAMILIES,
     RESIDUE_FAMILIES,
-    TRIPLE_FAMILIES,
     Family,
     FamilyTraits,
     SumSpec,
     SumValue,
     TRAITS,
-    is_classical,
     pole_order,
     validate_params,
 )
@@ -48,13 +46,9 @@ from .residue_engine import (
     boundary_residues,
     expand_factor,
     residue_at_interior_pole,
-    series_add,
-    series_eval,
     series_from_coeffs,
     series_mul,
     series_pow,
-    series_reciprocal,
-    series_scale,
     sum_via_residues,
 )
 
@@ -73,7 +67,6 @@ __all__ = [
     "SumSpec",
     "SumValue",
     "TRAITS",
-    "TRIPLE_FAMILIES",
     "apostol_coeff",
     "apostol_coeff_table",
     "bernoulli",
@@ -89,16 +82,11 @@ __all__ = [
     "direct_sum",
     "enumerate_compositions",
     "expand_factor",
-    "is_classical",
     "pole_order",
     "residue_at_interior_pole",
-    "series_add",
-    "series_eval",
     "series_from_coeffs",
     "series_mul",
     "series_pow",
-    "series_reciprocal",
-    "series_scale",
     "sum_via_residues",
     "term_magnitude_sum",
     "theorem_sum",

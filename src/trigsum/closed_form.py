@@ -35,7 +35,7 @@ the residual, never silently dropped.
 Only x1, x1' and m^mu/mu! depend on m, and only the kernel and the
 powers of d depend on (d, b). The exact tuple weights are summed once
 per (mu, nu) into composition weights, which depend only on the shape
-of the sum (family kind and n); the rest is folded into a
+of the sum (cot or csc, and the pole order); the rest is folded into a
 frequency-free slice per (family, d, b, n). Both are kept for one
 family walk (families.enter_walk): a sweep over m builds the kernel
 once, and a walk over the d, b and n of one family enumerates the
@@ -65,6 +65,7 @@ from .families import (
     enter_walk,
     frequency_fold,
     is_classical,
+    pole_order,
     reduced_shifts,
     validate_params,
     walk_cache,
@@ -144,29 +145,19 @@ def _corollary(spec: SumSpec, b: float) -> SumValue:
     return _real_value(d * cos_pi((m - d) * b) * csc_pi(d * b))
 
 
-def _composition_shape(traits: FamilyTraits, n: int) -> tuple[int, int, str]:
-    """(total, parts, parity) of the composition sum at power n."""
-    if traits.shift_kind == "cot":
-        return n - 1, n, "any"
-    if not traits.odd_m:
-        return 2 * n - 1, 2 * n, "mu_plus_nu_odd"
-    return 2 * n - 2, 2 * n - 1, "mu_plus_nu_even"
-
-
 @walk_cache()
-def _composition_weights(
-    kind: str, total: int, parts: int, parity: str
-) -> tuple[tuple[int, int, float], ...]:
-    """The exact weight of each (mu, nu) pair of one composition sum.
+def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...]:
+    """The exact weight of each (mu, nu) pair of the composition sum at pole order p.
 
-    One entry (mu, nu, w) per pair, in the order the enumeration first
-    reaches it: the sum, exact in Fractions, of the coefficient products
-    of the tuples with that (mu, nu), rounded once to a float. It
-    depends only on the shape, not on (d, b) or m.
+    The tuples have p parts and total p - 1. One entry (mu, nu, w) per
+    pair, in the order the enumeration first reaches it: the sum, exact
+    in Fractions, of the coefficient products of the tuples with that
+    (mu, nu), rounded once to a float. It depends only on the kind and
+    p, not on (d, b) or m.
     """
     weight = cot_coeff_product if kind == "cot" else csc_coeff_product
     weights: dict[tuple[int, int], Fraction] = {}
-    for tup in enumerate_compositions(total, parts, parity):
+    for tup in enumerate_compositions(p - 1, p):
         key = (tup.mu, tup.nu)
         w = weight(tup.js)
         weights[key] = weights[key] + w if key in weights else w
@@ -188,14 +179,14 @@ def _power_slice(
     """
     traits = TRAITS[family]
     odd = traits.odd_m
-    total, parts, parity = _composition_shape(traits, n)
-    kernel = apostol_coeff_table(total, phase(-2.0 * d * b))
-    kernel_c = apostol_coeff_table(total, phase(2.0 * d * b))
+    p = pole_order(family, n)
+    kernel = apostol_coeff_table(p - 1, phase(-2.0 * d * b))
+    kernel_c = apostol_coeff_table(p - 1, phase(2.0 * d * b))
     cos_prefix = traits.prefix == "cos"
     sign = -1.0 if cos_prefix else 1.0
     extra_i = 1 if cos_prefix else 0
     out = []
-    for mu, nu, w in _composition_weights(traits.shift_kind, total, parts, parity):
+    for mu, nu, w in _composition_weights(traits.shift_kind, p):
         ip = _I_POWERS[(mu + nu + extra_i) % 4]
         two = 2.0 ** (nu if odd else mu + nu)
         c = ip * two * (d ** (nu + 1) / math.factorial(nu)) * w
@@ -228,7 +219,7 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
         return SumValue(0.0, 0.0, "multi-index")
     d, m, n = folded.d, folded.m, folded.n
     # cached weights and slices skip the coefficient calls, so the cap is checked here
-    check_index(_composition_shape(traits, n)[0], "apostol_coeff")
+    check_index(pole_order(spec.family, n) - 1, "apostol_coeff")
     if traits.odd_m:
         x1 = phase(-m * (b - 1.0))
         x1c = phase(m * (b - 1.0))

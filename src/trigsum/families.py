@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -104,7 +105,6 @@ TRAITS: dict[Family, FamilyTraits] = {
 }
 
 POWER_FAMILIES = tuple(f for f in Family if TRAITS[f].kind == "power")
-TRIPLE_FAMILIES = tuple(f for f in Family if TRAITS[f].kind == "triple")
 RESIDUE_FAMILIES = tuple(f for f in Family if TRAITS[f].supports_residue)
 
 
@@ -250,15 +250,25 @@ def _check_shift(family: Family, kind: str, beta: float, d: int, name: str) -> N
             )
 
 
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_params(spec: SumSpec) -> SumSpec:
     """Check a spec against its family's domain; return it unchanged.
 
-    Raises ParameterError naming the violated condition: m out of range,
-    m parity, missing or extraneous b2, a shift that is not finite, or a
-    shift on the singular set.
+    Raises ParameterError naming the violated condition: d, m or n not
+    an integer, m out of range, m parity, missing or extraneous b2, a
+    shift that is not finite, or a shift on the singular set.
     """
     if not isinstance(spec.family, Family):
         spec = replace(spec, family=Family.from_label(str(spec.family)))
+    _check_integer("d", spec.d)
+    _check_integer("m", spec.m)
+    _check_integer("n", spec.n)
     traits = TRAITS[spec.family]
     if spec.n < 1:
         raise ParameterError(f"n must be a positive integer, got {spec.n}")

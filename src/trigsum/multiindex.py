@@ -9,9 +9,7 @@ formulas sum one weighted term per tuple; the weight carries an exact
 rational product of cotangent or cosecant expansion coefficients over
 the j entries.
 
-Since 2*sum(js) is even, mu + nu always has the parity of the total;
-the explicit parity filter is still applied as a cross-check, and a
-test asserts it never removes a tuple the defining equation admits.
+Since 2*sum(js) is even, mu + nu always has the parity of the total.
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ from typing import Iterator, Sequence
 
 from .coefficients import cot_coeff, csc_coeff
 from .errors import ParameterError
-
-PARITIES = ("any", "mu_plus_nu_odd", "mu_plus_nu_even")
-
 
 @dataclass(frozen=True)
 class CompositionTuple:
@@ -47,30 +42,21 @@ def _js_prefixes(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def enumerate_compositions(total: int, parts: int, parity: str = "any") -> tuple[CompositionTuple, ...]:
+def enumerate_compositions(total: int, parts: int) -> tuple[CompositionTuple, ...]:
     """All tuples with 2*sum(js) + mu + nu = total, len(js) = parts.
 
     Returned in lexicographic order of (js, mu); nu is determined by the
-    remainder. The parity filter keeps tuples whose mu + nu is odd or
-    even as requested; a filter incompatible with the total's parity
-    yields an empty sequence.
+    remainder.
     """
     if total < 0:
         raise ParameterError(f"total must be nonnegative, got {total}")
     if parts < 1:
         raise ParameterError(f"parts must be positive, got {parts}")
-    if parity not in PARITIES:
-        raise ParameterError(f"parity must be one of {PARITIES}, got {parity!r}")
     out = []
     for js in _js_prefixes(parts, total // 2):
         rem = total - 2 * sum(js)
         for mu in range(rem + 1):
-            nu = rem - mu
-            if parity == "mu_plus_nu_odd" and (mu + nu) % 2 == 0:
-                continue
-            if parity == "mu_plus_nu_even" and (mu + nu) % 2 == 1:
-                continue
-            out.append(CompositionTuple(js, mu, nu))
+            out.append(CompositionTuple(js, mu, rem - mu))
     return tuple(out)
 
 

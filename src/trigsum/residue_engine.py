@@ -9,12 +9,13 @@ to zero, which pins the sum of interest to the single interior residue:
     sum = -(pi*d)   * Res(f, 1-b)   for sin-prefixed families,
 
 while the boundary residues at z = j/d reproduce the individual terms.
-The interior residue is computed by truncated Laurent arithmetic in the
-local variable w = z - (1-b): expand every factor, multiply, read off
-the w^{-1} coefficient. Truncation runs to pole_order + 2, two guard
-terms beyond what the residue needs. The cot/csc power does not depend
-on d, b or m, so it is built once per (kind, pole order) and kept for
-the family walk (families.enter_walk), as the closed form keeps its
+The interior residue is the w^{-1} coefficient of the local series in
+w = z - (1-b), and only that coefficient is formed: per kernel branch it
+is the sum over deg < 0 of (exp * cot^p)_deg * kernel_{-1-deg}, which
+needs the exponential and the kernel through w^(p-1) and the cot/csc
+power through w^-1 (p the pole order). The cot/csc power does not
+depend on d, b or m, so it is built once per (kind, pole order) and kept
+for the family walk (families.enter_walk), as the closed form keeps its
 composition weights. b enters only through phases (the constant x1 and
 the kernel's t), so it is reduced by its period first and the phases
 stay accurate at large shifts.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .coefficients import apostol_coeff_table, cot_coeff, csc_coeff
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .families import (
     TRAITS,
     Family,
@@ -47,8 +48,6 @@ from .families import (
     walk_cache,
 )
 from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
-
-RECIPROCAL_TOL = 1e-12
 
 FACTOR_KINDS = (
     "exp_linear",
@@ -102,18 +101,6 @@ def _trimmed(s: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(s.min_degree + k, s.coeffs[k:], s.truncation_order)
 
 
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    order = min(a.truncation_order, b.truncation_order)
-    min_degree = min(a.min_degree, b.min_degree, order)
-    coeffs = [0j] * (order - min_degree + 1)
-    for s in (a, b):
-        for i, c in enumerate(s.coeffs):
-            deg = s.min_degree + i
-            if deg <= order:
-                coeffs[deg - min_degree] += c
-    return LaurentSeries(min_degree, tuple(coeffs), order)
-
-
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     a = _trimmed(a)
     b = _trimmed(b)
@@ -141,34 +128,6 @@ def series_pow(a: LaurentSeries, k: int) -> LaurentSeries:
     return out
 
 
-def series_scale(a: LaurentSeries, factor: complex) -> LaurentSeries:
-    return LaurentSeries(a.min_degree, tuple(factor * c for c in a.coeffs), a.truncation_order)
-
-
-def series_reciprocal(a: LaurentSeries) -> LaurentSeries:
-    """Multiplicative inverse to the available truncation order."""
-    t = _trimmed(a)
-    lead = t.coeffs[0]
-    if abs(lead) <= RECIPROCAL_TOL:
-        raise NumericError(
-            f"non-invertible series: leading coefficient {lead!r} at degree "
-            f"{t.min_degree} is below {RECIPROCAL_TOL:g}"
-        )
-    rel = t.truncation_order - t.min_degree
-    inv = [1.0 / lead]
-    for k in range(1, rel + 1):
-        acc = 0j
-        for i in range(1, min(k, len(t.coeffs) - 1) + 1):
-            acc += t.coeffs[i] * inv[k - i]
-        inv.append(-acc / lead)
-    return LaurentSeries(-t.min_degree, tuple(inv), t.truncation_order - 2 * t.min_degree)
-
-
-def series_eval(a: LaurentSeries, w: complex) -> complex:
-    """Evaluate the truncated series at a point (for fidelity checks)."""
-    return sum(c * w ** (a.min_degree + i) for i, c in enumerate(a.coeffs))
-
-
 def expand_factor(kind: str, params: Mapping[str, complex], order: int) -> LaurentSeries:
     """Local series of one integrand factor in w, valid through w^order.
 
@@ -178,8 +137,8 @@ def expand_factor(kind: str, params: Mapping[str, complex], order: int) -> Laure
       csc_shifted    {}                      sum csc_coeff(j) pi^{2j-1} w^{2j-1}
       apostol_kernel {"t": t, "scale": c}    sum A_nu(t) (c w)^nu / nu!
 
-    The exp_linear series omits its constant prefactor e^{c z0}; the
-    assembly multiplies all constant phases in afterwards.
+    The exp_linear series omits its constant prefactor e^{c z0};
+    residue_at_interior_pole multiplies the constant phases in afterwards.
     """
     if kind not in FACTOR_KINDS:
         raise ParameterError(f"unknown factor kind {kind!r}; known: {FACTOR_KINDS}")
@@ -236,13 +195,33 @@ def _uncovered(family: Family) -> ParameterError:
 
 @walk_cache()
 def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
-    """The cot or csc factor raised to the pole order, through w^(pole_order + 2)."""
-    return series_pow(expand_factor(kind, {}, pole_order + 2), pole_order)
+    """The cot or csc factor raised to the pole order, through w^-1."""
+    return series_pow(expand_factor(kind, {}, pole_order - 2), pole_order)
 
 
-def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
+def _branch_residue(
+    singular: tuple[complex, ...], exp_coeff: complex, t: complex, scale: complex
+) -> complex:
+    """The w^{-1} coefficient of exp(exp_coeff w) * singular * kernel(t, scale w).
+
+    singular holds the cot/csc power's coefficients of w^-p..w^-1. Each
+    coefficient is accumulated in ascending index, as series_mul does.
+    """
+    p = len(singular)
+    exp = expand_factor("exp_linear", {"coefficient": exp_coeff}, p - 1).coeffs
+    kernel = expand_factor("apostol_kernel", {"t": t, "scale": scale}, p - 1).coeffs
+    acc = 0j
+    for i in range(p):
+        product = 0j  # (exp * singular) at w^(i-p)
+        for k in range(i + 1):
+            product += exp[k] * singular[i - k]
+        acc += product * kernel[p - 1 - i]
+    return acc
+
+
+def residue_at_interior_pole(desc: IntegrandDescriptor) -> complex:
+    """The w^{-1} coefficient of the integrand's local series at z = 1-b."""
     traits = TRAITS[desc.family]
-    order = desc.pole_order + 2
     d, m, b = desc.d, desc.m, desc.b
     if traits.odd_m:
         x1 = phase(-m * (b - 1.0))
@@ -253,22 +232,11 @@ def _assembled(desc: IntegrandDescriptor) -> LaurentSeries:
         x1c = phase(2.0 * m * b)
         exp_coeff = 2j * math.pi * m
     base_kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
-    singular = _singular_power(base_kind, desc.pole_order)
-    plus = series_mul(
-        series_mul(expand_factor("exp_linear", {"coefficient": exp_coeff}, order), singular),
-        expand_factor("apostol_kernel", {"t": phase(-2.0 * d * b), "scale": 2j * math.pi * d}, order),
-    )
-    minus = series_mul(
-        series_mul(expand_factor("exp_linear", {"coefficient": -exp_coeff}, order), singular),
-        expand_factor("apostol_kernel", {"t": phase(2.0 * d * b), "scale": -2j * math.pi * d}, order),
-    )
+    singular = _singular_power(base_kind, desc.pole_order).coeffs
+    plus = _branch_residue(singular, exp_coeff, phase(-2.0 * d * b), 2j * math.pi * d)
+    minus = _branch_residue(singular, -exp_coeff, phase(2.0 * d * b), -2j * math.pi * d)
     second_phase = -x1c if traits.prefix == "cos" else x1c
-    return series_add(series_scale(plus, x1), series_scale(minus, second_phase))
-
-
-def residue_at_interior_pole(desc: IntegrandDescriptor) -> complex:
-    """The w^{-1} coefficient of the assembled local series at z = 1-b."""
-    return _assembled(desc).coefficient(-1)
+    return x1 * plus + second_phase * minus
 
 
 def boundary_residues(desc: IntegrandDescriptor) -> tuple[complex, ...]:

@@ -24,7 +24,6 @@ from trigsum import closed_form
 from trigsum.cli import grid_cases
 from trigsum.closed_form import (
     SLICE_CACHE_SIZE,
-    _composition_shape,
     _composition_weights,
     _power_slice,
 )
@@ -33,6 +32,8 @@ from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
 from trigsum.residue_engine import _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
+
+from mp_reference import prefix_vanishes, reference_sum
 
 
 def rel_err(got, want):
@@ -94,6 +95,19 @@ def test_validate_doubled_range_lattice():
     with pytest.raises(ParameterError, match="singular set"):
         validate_params(SumSpec(Family.COS_COT_2D, 2, 1, 0.25))
     validate_params(SumSpec(Family.COS_COT_2D, 2, 1, 0.1))
+
+
+@pytest.mark.parametrize("field, value", [("d", 7.0), ("m", 2.0), ("n", 2.0)])
+def test_every_path_refuses_a_non_integer_d_m_or_n(field, value):
+    # a float would reach range(), a power or a recurrence and fail there,
+    # or give a value
+    spec = dataclasses.replace(SumSpec(Family.COS_COT, 7, 2, 0.137), **{field: value})
+    for path in (closed_form_value, direct_sum, sum_via_residues):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got {value!r}"):
+            path(spec)
+    # bools are integers
+    want = closed_form_value(SumSpec(Family.COS_COT, 7, 1, 0.137)).value
+    assert closed_form_value(SumSpec(Family.COS_COT, 7, True, 0.137, True)).value == want
 
 
 # --- corollary values -------------------------------------------------------
@@ -304,14 +318,15 @@ def test_composition_weights_are_one_polynomial_power():
             kind = TRAITS[family].shift_kind
             coeff = cot_coeff if kind == "cot" else csc_coeff
             for n in range(1, 6):
-                total, parts, parity = _composition_shape(TRAITS[family], n)
+                p = pole_order(family, n)
+                total, parts = p - 1, p
                 power = _power_series_coefficients(coeff, parts, total // 2)
                 coeffs = [coeff(j) for j in range(total // 2 + 1)]
                 exact: dict[tuple[int, int], Fraction] = {}
-                for tup in enumerate_compositions(total, parts, parity):
+                for tup in enumerate_compositions(total, parts):
                     key = (tup.mu, tup.nu)
                     exact[key] = exact.get(key, 0) + math.prod(coeffs[j] for j in tup.js)
-                memo = _composition_weights(kind, total, parts, parity)
+                memo = _composition_weights(kind, p)
                 assert [(mu, nu) for mu, nu, _ in memo] == list(exact)
                 assert set(exact) == {(mu, nu) for mu in range(total + 1)
                                       for nu in range(total + 1 - mu)
@@ -502,40 +517,6 @@ LARGE_SHIFTS = (
     SumSpec(Family.SIN_CSC_SIN, 7, 3, LARGE_B, 1, LARGE_B2),
     SumSpec(Family.SIN_SEC_SEC, 7, 3, 0.137, 1, -LARGE_B2),
 )
-
-
-def prefix_vanishes(prefix, k, d):
-    """cos or sin(pi k/d) is exactly 0, by integer test.
-
-    At 40 digits such a prefix reads about 1e-41, and times a near-pole
-    term that is far from negligible.
-    """
-    if prefix == "cos":
-        return (2 * k - d) % (2 * d) == 0
-    return k % d == 0
-
-
-def reference_sum(spec):
-    """The defining sum at 40 digits, from the exact float shifts."""
-    mpmath = pytest.importorskip("mpmath")
-    traits = TRAITS[spec.family]
-    fns = {"cot": mpmath.cot, "csc": mpmath.csc, "tan": mpmath.tan, "sec": mpmath.sec,
-           "cos": mpmath.cos, "sin": mpmath.sin}
-    power = pole_order(spec.family, spec.n) if traits.kind == "power" else 1
-    span = 2 * spec.d if traits.kind == "double" else spec.d
-    freq = spec.m if traits.odd_m else 2 * spec.m
-    with mpmath.workdps(40):
-        pi = mpmath.pi
-        total = mpmath.mpf(0)
-        for j in range(traits.oracle_start, span):
-            if prefix_vanishes(traits.prefix, freq * j, spec.d):
-                continue
-            term = fns[traits.prefix](pi * freq * j / spec.d) \
-                * fns[traits.shift_kind](pi * (mpmath.mpf(j) / span + mpmath.mpf(spec.b))) ** power
-            if traits.second_kind is not None:
-                term *= fns[traits.second_kind](pi * (mpmath.mpf(j) / spec.d + mpmath.mpf(spec.b2)))
-            total += term
-        return float(total)
 
 
 @pytest.mark.parametrize("spec", LARGE_SHIFTS, ids=lambda s: s.family.value)

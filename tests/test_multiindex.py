@@ -15,10 +15,7 @@ from trigsum import (
 )
 from trigsum.errors import ParameterError
 
-PARITIES = ("any", "mu_plus_nu_odd", "mu_plus_nu_even")
-
-
-def brute_force(total, parts, parity):
+def brute_force(total, parts):
     # direct box search; the reference the real enumerator is tested against
     out = []
     bound = total // 2
@@ -27,26 +24,21 @@ def brute_force(total, parts, parity):
         if rem < 0:
             continue
         for mu in range(rem + 1):
-            nu = rem - mu
-            if parity == "mu_plus_nu_odd" and (mu + nu) % 2 == 0:
-                continue
-            if parity == "mu_plus_nu_even" and (mu + nu) % 2 == 1:
-                continue
-            out.append((js, mu, nu))
+            out.append((js, mu, rem - mu))
     return out
 
 
 def test_single_zero_tuple():
-    got = enumerate_compositions(0, 1, "any")
+    got = enumerate_compositions(0, 1)
     assert got == (CompositionTuple(js=(0,), mu=0, nu=0),)
 
 
 def test_total_two_parts_three_count():
-    assert len(enumerate_compositions(2, 3, "any")) == 6
+    assert len(enumerate_compositions(2, 3)) == 6
 
 
-def test_total_one_parts_two_odd_filter():
-    got = set(enumerate_compositions(1, 2, "mu_plus_nu_odd"))
+def test_total_one_parts_two():
+    got = set(enumerate_compositions(1, 2))
     assert got == {
         CompositionTuple(js=(0, 0), mu=1, nu=0),
         CompositionTuple(js=(0, 0), mu=0, nu=1),
@@ -54,7 +46,7 @@ def test_total_one_parts_two_odd_filter():
 
 
 def test_constraint_holds_on_every_tuple():
-    for tup in enumerate_compositions(7, 4, "any"):
+    for tup in enumerate_compositions(7, 4):
         assert 2 * sum(tup.js) + tup.mu + tup.nu == 7
         assert all(j >= 0 for j in tup.js)
         assert tup.total == 7
@@ -64,11 +56,10 @@ def test_constraint_holds_on_every_tuple():
 @given(
     total=st.integers(min_value=0, max_value=8),
     parts=st.integers(min_value=1, max_value=6),
-    parity=st.sampled_from(PARITIES),
 )
-def test_enumeration_matches_brute_force(total, parts, parity):
-    got = enumerate_compositions(total, parts, parity)
-    want = brute_force(total, parts, parity)
+def test_enumeration_matches_brute_force(total, parts):
+    got = enumerate_compositions(total, parts)
+    want = brute_force(total, parts)
     assert len(got) == len(want)
     assert {(t.js, t.mu, t.nu) for t in got} == set(want)
 
@@ -79,11 +70,10 @@ def test_enumeration_matches_brute_force(total, parts, parity):
     parts=st.integers(min_value=1, max_value=6),
 )
 def test_no_duplicates_and_parity_partition(total, parts):
-    seqs = {p: enumerate_compositions(total, parts, p) for p in PARITIES}
-    for seq in seqs.values():
-        assert len(set(seqs["any"])) == len(seqs["any"])
-        assert len(set(seq)) == len(seq)
-    assert len(seqs["any"]) == len(seqs["mu_plus_nu_odd"]) + len(seqs["mu_plus_nu_even"])
+    # 2*sum(js) is even, so every tuple's mu+nu has the parity of total
+    seq = enumerate_compositions(total, parts)
+    assert len(set(seq)) == len(seq)
+    assert all((t.mu + t.nu - total) % 2 == 0 for t in seq)
 
 
 @settings(max_examples=100, deadline=None)
@@ -92,31 +82,15 @@ def test_no_duplicates_and_parity_partition(total, parts):
     parts=st.integers(min_value=1, max_value=6),
 )
 def test_lexicographic_order(total, parts):
-    keys = [(t.js, t.mu) for t in enumerate_compositions(total, parts, "any")]
+    keys = [(t.js, t.mu) for t in enumerate_compositions(total, parts)]
     assert keys == sorted(keys)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    total=st.integers(min_value=0, max_value=8),
-    parts=st.integers(min_value=1, max_value=6),
-)
-def test_matching_parity_filter_is_vacuous(total, parts):
-    # 2*sum(js) is even, so mu+nu always has the parity of total; the filter
-    # matching that parity must remove nothing and the opposite one everything
-    matching = "mu_plus_nu_even" if total % 2 == 0 else "mu_plus_nu_odd"
-    opposite = "mu_plus_nu_odd" if total % 2 == 0 else "mu_plus_nu_even"
-    assert enumerate_compositions(total, parts, matching) == enumerate_compositions(total, parts, "any")
-    assert enumerate_compositions(total, parts, opposite) == ()
 
 
 def test_invalid_enumeration_arguments():
     with pytest.raises(ParameterError):
-        enumerate_compositions(-1, 2, "any")
+        enumerate_compositions(-1, 2)
     with pytest.raises(ParameterError):
-        enumerate_compositions(2, 0, "any")
-    with pytest.raises(ParameterError):
-        enumerate_compositions(2, 2, "sometimes")
+        enumerate_compositions(2, 0)
 
 
 def test_cot_coeff_product_examples():
@@ -132,6 +106,6 @@ def test_csc_coeff_product_examples():
 
 
 def test_products_over_enumerated_tuples_are_exact_rationals():
-    for tup in enumerate_compositions(5, 3, "any"):
+    for tup in enumerate_compositions(5, 3):
         value = cot_coeff_product(tup.js)
         assert isinstance(value, Fraction)

@@ -15,6 +15,8 @@ from trigsum.errors import NumericError, ParameterError
 from trigsum.oracle import _terms
 from trigsum.trig import cos_pi_ratio, cot_pi, csc_pi, sec_pi, tan_pi
 
+from mp_reference import reference_sum
+
 
 def test_known_values():
     assert abs(direct_sum(SumSpec(Family.SIN_COT, 5, 2, 0.0)).value - 1.0) <= 1e-12
@@ -122,20 +124,12 @@ def test_cos_pi_ratio_is_exactly_zero_at_a_quarter_turn():
 ])
 def test_quarter_turn_prefix_near_a_pole_matches_reference(family, d, m, b):
     # the prefix vanishes at the term with the largest cosecant, where a
-    # rounded zero times csc^p would swamp the sum
-    mpmath = pytest.importorskip("mpmath")
-    n = 4
-    power = 2 * n - 1 if family is Family.COS_CSC_ODD else 2 * n
-    freq = m if family is Family.COS_CSC_ODD else 2 * m
-    with mpmath.workdps(40):
-        pi = mpmath.pi
-        # cos(pi k/d) = 0 iff 2k = d (mod 2d); at 40 digits it would read about 1e-41
-        want = mpmath.fsum(
-            mpmath.cos(pi * freq * j / d) * mpmath.csc(pi * (mpmath.mpf(j) / d + b)) ** power
-            for j in range(d) if (2 * freq * j - d) % (2 * d)
-        )
-        got = direct_sum(SumSpec(family, d, m, b, n)).value
-        assert abs(got - want) <= 1e-12 * abs(want)
+    # rounded zero times csc^p would swamp the sum; the reference takes that
+    # zero exactly
+    spec = SumSpec(family, d, m, b, 4)
+    want = reference_sum(spec)
+    got = direct_sum(spec).value
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_term_magnitude_sum_manual():

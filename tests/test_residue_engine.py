@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigsum import (
+    POWER_FAMILIES,
     RESIDUE_FAMILIES,
     TRAITS,
     Family,
@@ -20,17 +21,14 @@ from trigsum import (
     LaurentSeries,
     SumSpec,
     boundary_residues,
+    closed_form_value,
     direct_sum,
     expand_factor,
     pole_order,
     residue_at_interior_pole,
-    series_add,
-    series_eval,
     series_from_coeffs,
     series_mul,
     series_pow,
-    series_reciprocal,
-    series_scale,
     sum_via_residues,
     theorem_sum,
     validate_params,
@@ -38,6 +36,7 @@ from trigsum import (
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
 from trigsum.residue_engine import _singular_power
+from trigsum.trig import phase
 
 
 def coeffs_close(a, b, lo, hi, tol):
@@ -49,26 +48,6 @@ def coeffs_close(a, b, lo, hi, tol):
 
 
 # --- series arithmetic --------------------------------------------------------
-
-def test_add_cancels_pole():
-    a = series_from_coeffs(-1, [1.0, 1.0])
-    b = series_from_coeffs(-1, [-1.0, 0.0])
-    s = series_add(a, b)
-    assert s.coefficient(-1) == 0j
-    assert s.coefficient(0) == 1.0
-
-
-def test_add_collects_like_degrees():
-    s = series_add(series_from_coeffs(1, [2.0]), series_from_coeffs(1, [3.0]))
-    assert s.coefficient(1) == 5.0
-
-
-def test_add_zero_identity():
-    a = series_from_coeffs(-2, [3.0, 0.5, -1.0, 2.0])
-    zero = series_from_coeffs(-2, [0.0] * 4)
-    s = series_add(a, zero)
-    assert s.min_degree == a.min_degree and s.coeffs == a.coeffs
-
 
 def test_mul_examples():
     s = series_mul(series_from_coeffs(-1, [1.0]), series_from_coeffs(1, [1.0]))
@@ -103,18 +82,6 @@ def test_squared_cotangent_leading_term():
     sq = series_pow(expand_factor("cot_shifted", {}, 6), 2)
     assert sq.min_degree == -2
     assert sq.coefficient(-2).real == pytest.approx(math.pi ** -2, rel=1e-15)
-
-
-def test_reciprocal_examples():
-    geo = series_reciprocal(series_from_coeffs(0, [1.0, 1.0, 0.0, 0.0, 0.0]))
-    assert [geo.coefficient(k).real for k in range(5)] == [1.0, -1.0, 1.0, -1.0, 1.0]
-    const = series_reciprocal(series_from_coeffs(0, [2.0]))
-    assert const.coefficient(0) == 0.5
-
-
-def test_reciprocal_rejects_tiny_lead():
-    with pytest.raises(NumericError, match="non-invertible series"):
-        series_reciprocal(series_from_coeffs(0, [1e-13, 1.0, 2.0]))
 
 
 def test_series_shape_contracts():
@@ -155,28 +122,6 @@ def test_mul_associates_on_common_span(a, b, c):
         assert coeffs_close(left, right, lo, hi, 1e-12)
 
 
-_invertible = st.builds(
-    lambda mindeg, lead, rest: series_from_coeffs(mindeg, [lead] + rest),
-    st.integers(-2, 2),
-    st.tuples(st.floats(1.0, 5.0), st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1]),
-    st.lists(
-        st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)).map(lambda p: complex(*p)),
-        min_size=2,
-        max_size=6,
-    ),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_invertible)
-def test_reciprocal_is_two_sided_inverse(a):
-    inv = series_reciprocal(a)
-    for prod in (series_mul(a, inv), series_mul(inv, a)):
-        assert abs(prod.coefficient(0) - 1.0) <= 1e-12
-        for deg in range(1, prod.truncation_order + 1):
-            assert abs(prod.coefficient(deg)) <= 1e-12
-
-
 # --- factor expansions ----------------------------------------------------------
 
 def test_expand_cot_low_order():
@@ -210,6 +155,11 @@ def test_expand_rejects_bad_requests():
         expand_factor("exp_linear", {"coefficient": 1.0}, -1)
 
 
+def series_eval(a, w):
+    """The truncated series at a point."""
+    return sum(c * w ** (a.min_degree + i) for i, c in enumerate(a.coeffs))
+
+
 @pytest.mark.parametrize("theta", [0.3, 2.1, 4.0])
 def test_expansion_fidelity_on_small_circle(theta):
     w = 0.05 * cmath.exp(1j * theta)
@@ -224,17 +174,10 @@ def test_expansion_fidelity_on_small_circle(theta):
     got = series_eval(expand_factor("csc_shifted", {}, 14), w)
     assert abs(got - (-1.0 / cmath.sin(math.pi * w))) <= 1e-9
 
-    got = series_eval(expand_factor("apostol_kernel", {"t": 2.0, "scale": 1.0}, 12), w)
-    assert abs(got - 1.0 / (2.0 * cmath.exp(w) - 1.0)) <= 1e-9
-
-
-def test_apostol_kernel_matches_reciprocal_route():
-    t, c, order = 1.7 - 0.4j, 2j * math.pi * 3, 8
-    direct = expand_factor("apostol_kernel", {"t": t, "scale": c}, order)
-    exp = expand_factor("exp_linear", {"coefficient": c}, order)
-    denom = series_add(series_scale(exp, t), series_from_coeffs(0, [-1.0] + [0.0] * order))
-    via_inverse = series_reciprocal(denom)
-    assert coeffs_close(direct, via_inverse, 0, order, 1e-12)
+    # a real kernel, and a complex one with the engine's imaginary scale 2 pi i d
+    for t, scale, order in ((2.0, 1.0, 12), (1.7 - 0.4j, 2j * math.pi, 40)):
+        got = series_eval(expand_factor("apostol_kernel", {"t": t, "scale": scale}, order), w)
+        assert abs(got - 1.0 / (t * cmath.exp(scale * w) - 1.0)) <= 1e-9, t
 
 
 # --- descriptors and residues -----------------------------------------------------
@@ -264,6 +207,50 @@ def test_interior_residue_examples():
     assert abs(residue_at_interior_pole(desc) - 1j / math.pi) <= 1e-12
     desc = IntegrandDescriptor.from_spec(SumSpec(Family.SIN_COT, 2, 1, 0.25))
     assert abs(residue_at_interior_pole(desc)) <= 1e-15
+
+
+def _full_product_residue(desc):
+    """The w^-1 coefficient of each branch's full truncated product, at order p + 2."""
+    traits = TRAITS[desc.family]
+    p, d, m, b = desc.pole_order, desc.d, desc.m, desc.b
+    order = p + 2
+    if traits.odd_m:
+        x1, x1c, a = phase(-m * (b - 1.0)), phase(m * (b - 1.0)), 1j * math.pi * m
+    else:
+        x1, x1c, a = phase(-2.0 * m * b), phase(2.0 * m * b), 2j * math.pi * m
+    kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
+    singular = series_pow(expand_factor(kind, {}, order), p)
+    plus = series_mul(
+        series_mul(expand_factor("exp_linear", {"coefficient": a}, order), singular),
+        expand_factor("apostol_kernel", {"t": phase(-2.0 * d * b), "scale": 2j * math.pi * d}, order),
+    )
+    minus = series_mul(
+        series_mul(expand_factor("exp_linear", {"coefficient": -a}, order), singular),
+        expand_factor("apostol_kernel", {"t": phase(2.0 * d * b), "scale": -2j * math.pi * d}, order),
+    )
+    second = -x1c if traits.prefix == "cos" else x1c
+    return x1 * plus.coefficient(-1) + second * minus.coefficient(-1)
+
+
+def test_interior_residue_is_the_full_product_coefficient():
+    # only the w^-1 coefficient is formed, with the full product's order of
+    # accumulation, so the bits match
+    rng = random.Random(2)
+    for family in POWER_FAMILIES:
+        for n in range(1, 7):
+            checked = 0
+            while checked < 8:
+                d = rng.randint(2, 60)
+                m = rng.randint(1, d - 1)
+                b = rng.uniform(-1.0, 1.0) + (1e9 if checked == 0 else 0.0)
+                try:
+                    desc = IntegrandDescriptor.from_spec(SumSpec(family, d, m, b, n))
+                except ParameterError:
+                    continue
+                got = residue_at_interior_pole(desc)
+                want = _full_product_residue(desc)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), desc
+                checked += 1
 
 
 def test_boundary_residue_examples():
@@ -350,6 +337,17 @@ def test_residue_closure_at_a_large_shift():
         bres = boundary_residues(desc)
         total = residue_at_interior_pole(desc) + sum(bres)
         assert abs(total) <= 1e-12 * max(abs(r) for r in bres), b
+
+
+def test_residue_and_closed_form_refuse_the_same_orders(monkeypatch):
+    # both read the kernel through index p - 1 and no further, so the
+    # coefficient cap stops them at the same power
+    monkeypatch.setenv("TRIGSUM_COEFF_CAP", "5")
+    spec = SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 3)   # p = 6
+    for path in (closed_form_value, sum_via_residues):
+        path(spec)
+        with pytest.raises(NumericError, match="order too large"):
+            path(SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4))
 
 
 def test_singular_power_cold_and_warm_give_the_same_bits():
