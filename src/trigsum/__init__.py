@@ -1,15 +1,19 @@
 """Verified evaluation of finite trigonometric sums.
 
 Finite sums of cosine/sine prefixes against powers of shifted
-cotangent, cosecant, tangent, or secant factors (and cosecant-times-
-oscillator triple products) are computed three independent ways:
+cotangent, cosecant, tangent, or secant factors (and products of a
+shifted cosecant or secant with a second shifted factor) are computed
+along three paths:
 
   * closed forms and their multi-index power generalizations,
-  * direct compensated summation,
-  * residue reconstruction through truncated Laurent series.
+  * direct compensated summation of the defining terms,
+  * residue reconstruction: the w^-1 coefficient of a contour
+    integrand's local series at its interior pole.
 
-The three paths must agree; `trigsum verify` sweeps them against each
-other over deterministic grids.
+The closed form and the residue path share the coefficient tables, the
+kernel and the product identity, so only the direct sum is independent
+of them. `trigsum verify` sweeps the paths against each other over
+deterministic grids.
 """
 
 from .closed_form import closed_form_value, corollary_value, theorem_sum
@@ -41,12 +45,10 @@ from .multiindex import (
 )
 from .oracle import conditioning, direct_sum, term_magnitude_sum
 from .residue_engine import (
-    IntegrandDescriptor,
     LaurentSeries,
     boundary_residues,
     expand_factor,
     residue_at_interior_pole,
-    series_from_coeffs,
     series_mul,
     series_pow,
     sum_via_residues,
@@ -58,7 +60,6 @@ __all__ = [
     "CompositionTuple",
     "Family",
     "FamilyTraits",
-    "IntegrandDescriptor",
     "LaurentSeries",
     "NumericError",
     "POWER_FAMILIES",
@@ -84,7 +85,6 @@ __all__ = [
     "expand_factor",
     "pole_order",
     "residue_at_interior_pole",
-    "series_from_coeffs",
     "series_mul",
     "series_pow",
     "sum_via_residues",

@@ -21,7 +21,7 @@ from .coefficients import bernoulli, coefficient_cap, cot_coeff, csc_coeff
 from .errors import NumericError, ParameterError
 from .families import TRAITS, Family, SumSpec, validate_params
 from .oracle import conditioning, direct_sum, term_magnitude_sum
-from .residue_engine import sum_via_residues
+from .residue_engine import residue_gap, sum_via_residues
 
 DEFAULT_TOL = 1e-8
 TOL_ENV = "TRIGSUM_TOL"
@@ -105,7 +105,7 @@ def evaluate_case(spec: SumSpec, b_index: int, paths: Sequence[str], tol: float)
     floor_scale = term_magnitude_sum(spec) if cond < CONDITIONING_FLOOR else 0.0
     values: dict[str, float] = {}
     for name in paths:
-        if name == "residue" and not TRAITS[spec.family].supports_residue:
+        if name == "residue" and residue_gap(spec) is not None:
             continue
         values[name] = _compute_path(name, spec)
     abs_err = rel_err = None

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
-from .families import TRAITS, Family, SumSpec, SumValue, is_classical, validate_params
+from .families import TRAITS, SumSpec, SumValue, pole_order, validate_params
 from .trig import (
     cos_pi,
     cos_pi_ratio,
@@ -54,12 +53,12 @@ def _index_range(spec: SumSpec) -> range:
 
 def _terms(spec: SumSpec):
     traits = TRAITS[spec.family]
-    d, m, n = spec.d, spec.m, spec.n
+    d, m = spec.d, spec.m
     beta = _reduced_shift(spec.b, traits.shift_period)
     prefix_num = m if traits.odd_m else 2 * m
     prefix = cos_pi_ratio if traits.prefix == "cos" else sin_pi_ratio
     if traits.kind == "power":
-        power = n if traits.shift_kind == "cot" else (2 * n if not traits.odd_m else 2 * n - 1)
+        power = pole_order(spec.family, spec.n)
         factor = cot_pi if traits.shift_kind == "cot" else csc_pi
         for j in _index_range(spec):
             yield prefix(prefix_num * j, d) * factor(j / d + beta) ** power

@@ -21,16 +21,15 @@ the kernel's t), so it is reduced by its period first and the phases
 stay accurate at large shifts.
 
 The four csc x cos/sin product families are taken through the
-first-power cot residue, by the identity the closed form uses:
-csc x * sin(x + D) = sin D * cot x + cos D, whose constant sums to zero
-against the prefix (cos is sin a quarter turn on).
+first-power cot integrand (_integrand), by the identity the closed form
+uses: csc x * sin(x + D) = sin D * cot x + cos D, whose constant sums to
+zero against the prefix (cos is sin a quarter turn on).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .coefficients import apostol_coeff_table, cot_coeff, csc_coeff
 from .errors import ParameterError
@@ -42,6 +41,7 @@ from .families import (
     as_sum_value,
     enter_walk,
     frequency_fold,
+    is_classical,
     pole_order,
     reduced_shifts,
     validate_params,
@@ -49,21 +49,10 @@ from .families import (
 )
 from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
 
-FACTOR_KINDS = (
-    "exp_linear",
-    "cot_shifted",
-    "csc_shifted",
-    "apostol_kernel",
-)
-
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """Truncated Laurent series: coeffs[k] multiplies w^{min_degree+k}.
-
-    Coefficients are stored densely from min_degree through
-    truncation_order; the series is meaningless beyond the truncation.
-    """
+    """Laurent series truncated after w^truncation_order: coeffs[k] multiplies w^{min_degree+k}."""
     min_degree: int
     coeffs: tuple[complex, ...]
     truncation_order: int
@@ -82,13 +71,6 @@ class LaurentSeries:
         if degree < self.min_degree:
             return 0j
         return self.coeffs[degree - self.min_degree]
-
-
-def series_from_coeffs(min_degree: int, coeffs, truncation_order: int | None = None) -> LaurentSeries:
-    cs = tuple(complex(c) for c in coeffs)
-    if truncation_order is None:
-        truncation_order = min_degree + len(cs) - 1
-    return LaurentSeries(min_degree, cs, truncation_order)
 
 
 def _trimmed(s: LaurentSeries) -> LaurentSeries:
@@ -128,88 +110,76 @@ def series_pow(a: LaurentSeries, k: int) -> LaurentSeries:
     return out
 
 
-def expand_factor(kind: str, params: Mapping[str, complex], order: int) -> LaurentSeries:
-    """Local series of one integrand factor in w, valid through w^order.
+def expand_factor(kind: str, order: int) -> LaurentSeries:
+    """Local series of the singular factor in w, valid through w^order.
 
-    Kinds and their params:
-      exp_linear     {"coefficient": c}      sum (c w)^k / k!
-      cot_shifted    {}                      sum cot_coeff(j) pi^{2j-1} w^{2j-1}
-      csc_shifted    {}                      sum csc_coeff(j) pi^{2j-1} w^{2j-1}
-      apostol_kernel {"t": t, "scale": c}    sum A_nu(t) (c w)^nu / nu!
-
-    The exp_linear series omits its constant prefactor e^{c z0};
-    residue_at_interior_pole multiplies the constant phases in afterwards.
+    kind is a family's shift kind: "cot" gives sum cot_coeff(j) pi^{2j-1}
+    w^{2j-1}, "csc" the same with csc_coeff (the cosecant one half period
+    past its pole, so with the reflected sign).
     """
-    if kind not in FACTOR_KINDS:
-        raise ParameterError(f"unknown factor kind {kind!r}; known: {FACTOR_KINDS}")
-    if kind in ("cot_shifted", "csc_shifted"):
-        if order < -1:
-            raise ParameterError(f"order {order} below the pole degree -1 of {kind}")
-        coeff = cot_coeff if kind == "cot_shifted" else csc_coeff
-        coeffs = []
-        for deg in range(-1, order + 1):
-            if deg % 2 == 0:
-                coeffs.append(0j)
-            else:
-                j = (deg + 1) // 2
-                coeffs.append(complex(float(coeff(j)) * math.pi ** deg))
-        return LaurentSeries(-1, tuple(coeffs), order)
-    if order < 0:
-        raise ParameterError(f"order {order} below the minimal degree 0 of {kind}")
-    if kind == "exp_linear":
-        c = complex(params["coefficient"])
-        return LaurentSeries(
-            0, tuple(c ** k / math.factorial(k) for k in range(order + 1)), order
-        )
-    t = complex(params["t"])
-    scale = complex(params["scale"])
-    table = apostol_coeff_table(order, t)
-    return LaurentSeries(
-        0,
-        tuple(table[k] * scale ** k / math.factorial(k) for k in range(order + 1)),
-        order,
+    coeff = {"cot": cot_coeff, "csc": csc_coeff}.get(kind)
+    if coeff is None:
+        raise ParameterError(f"unknown factor kind {kind!r}; known: ('cot', 'csc')")
+    if order < -1:
+        raise ParameterError(f"order {order} below the pole degree -1 of {kind}")
+    coeffs = tuple(
+        0j if deg % 2 == 0 else complex(float(coeff((deg + 1) // 2)) * math.pi ** deg)
+        for deg in range(-1, order + 1)
     )
+    return LaurentSeries(-1, coeffs, order)
 
 
-@dataclass(frozen=True)
-class IntegrandDescriptor:
-    """A residue-engine job: power-family parameters plus the interior pole order."""
-    family: Family
-    d: int
-    m: int
-    b: float
-    pole_order: int
+def residue_gap(spec: SumSpec) -> str | None:
+    """Why no integrand carries spec's residue, or None when one does.
 
-    @classmethod
-    def from_spec(cls, spec: SumSpec) -> "IntegrandDescriptor":
-        spec = validate_params(spec)
-        if TRAITS[spec.family].kind != "power":
-            raise _uncovered(spec.family)
-        b = reduced_shifts(spec)[0]
-        return cls(spec.family, spec.d, spec.m, b, pole_order(spec.family, spec.n))
+    The classical point b = 0 of sin-cot has none: there the interior pole
+    z = 1 - b merges with the j = 0 boundary pole.
+    """
+    if not TRAITS[spec.family].supports_residue:
+        return f"family {spec.family.value} is not covered by the residue engine"
+    if is_classical(spec):
+        return ("the classical point b = 0 of sin-cot is not covered by the residue "
+                "engine: its interior pole merges with the j = 0 boundary pole")
+    return None
 
 
-def _uncovered(family: Family) -> ParameterError:
-    return ParameterError(f"family {family.value} is not covered by the residue engine")
+def _integrand(spec: SumSpec) -> tuple[Family, int, float, float]:
+    """(power family, pole order, reduced b, constant) carrying a valid spec's residue.
+
+    The residue of spec is constant times that integrand's. A csc x cos/sin
+    product is sin(pi (b2 - b + r/2)) times the first-power cot integrand
+    at (d, m, b), r the quarter turns taking sin to its second factor.
+    """
+    gap = residue_gap(spec)
+    if gap is not None:
+        raise ParameterError(gap)
+    traits = TRAITS[spec.family]
+    b, b2 = reduced_shifts(spec)
+    if traits.kind == "power":
+        return spec.family, pole_order(spec.family, spec.n), b, 1.0
+    assert b2 is not None
+    cot = Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT
+    return cot, 1, b, quarter_turns(b2 - b, QUARTER_TURNS[traits.second_kind])
 
 
 @walk_cache()
 def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
     """The cot or csc factor raised to the pole order, through w^-1."""
-    return series_pow(expand_factor(kind, {}, pole_order - 2), pole_order)
+    return series_pow(expand_factor(kind, pole_order - 2), pole_order)
 
 
-def _branch_residue(
-    singular: tuple[complex, ...], exp_coeff: complex, t: complex, scale: complex
-) -> complex:
+def _branch_residue(singular: tuple[complex, ...], exp_coeff: complex, t: complex,
+                    scale: complex) -> complex:
     """The w^{-1} coefficient of exp(exp_coeff w) * singular * kernel(t, scale w).
 
-    singular holds the cot/csc power's coefficients of w^-p..w^-1. Each
-    coefficient is accumulated in ascending index, as series_mul does.
+    singular holds the cot/csc power's coefficients of w^-p..w^-1; the
+    kernel is sum A_nu(t) (scale w)^nu / nu!. Each coefficient is
+    accumulated in ascending index, as series_mul does.
     """
     p = len(singular)
-    exp = expand_factor("exp_linear", {"coefficient": exp_coeff}, p - 1).coeffs
-    kernel = expand_factor("apostol_kernel", {"t": t, "scale": scale}, p - 1).coeffs
+    exp = [exp_coeff ** k / math.factorial(k) for k in range(p)]
+    table = apostol_coeff_table(p - 1, t)
+    kernel = [table[k] * scale ** k / math.factorial(k) for k in range(p)]
     acc = 0j
     for i in range(p):
         product = 0j  # (exp * singular) at w^(i-p)
@@ -219,76 +189,60 @@ def _branch_residue(
     return acc
 
 
-def residue_at_interior_pole(desc: IntegrandDescriptor) -> complex:
-    """The w^{-1} coefficient of the integrand's local series at z = 1-b."""
-    traits = TRAITS[desc.family]
-    d, m, b = desc.d, desc.m, desc.b
-    if traits.odd_m:
-        x1 = phase(-m * (b - 1.0))
-        x1c = phase(m * (b - 1.0))
-        exp_coeff = 1j * math.pi * m
-    else:
-        x1 = phase(-2.0 * m * b)
-        x1c = phase(2.0 * m * b)
-        exp_coeff = 2j * math.pi * m
-    base_kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
-    singular = _singular_power(base_kind, desc.pole_order).coeffs
+def _interior_residue(family: Family, p: int, d: int, m: int, b: float) -> complex:
+    """The w^{-1} coefficient at z = 1-b of a power family's integrand of pole order p."""
+    traits = TRAITS[family]
+    theta = m * (b - 1.0) if traits.odd_m else 2.0 * m * b
+    x1, x1c = phase(-theta), phase(theta)
+    exp_coeff = (1j if traits.odd_m else 2j) * math.pi * m
+    singular = _singular_power(traits.shift_kind, p).coeffs
     plus = _branch_residue(singular, exp_coeff, phase(-2.0 * d * b), 2j * math.pi * d)
     minus = _branch_residue(singular, -exp_coeff, phase(2.0 * d * b), -2j * math.pi * d)
     second_phase = -x1c if traits.prefix == "cos" else x1c
     return x1 * plus + second_phase * minus
 
 
-def boundary_residues(desc: IntegrandDescriptor) -> tuple[complex, ...]:
+def residue_at_interior_pole(spec: SumSpec) -> complex:
+    """The residue at z = 1-b of the integrand carrying spec's residue."""
+    spec = validate_params(spec)
+    family, p, b, constant = _integrand(spec)
+    return constant * _interior_residue(family, p, spec.d, spec.m, b)
+
+
+def boundary_residues(spec: SumSpec) -> tuple[complex, ...]:
     """Res(f, j/d) for j = 0..d-1, from the simple-pole quotient.
 
     Each equals term_j/(pi*i*d) for cos-prefixed families and
-    term_j/(pi*d) for sin-prefixed ones, term_j being the j-th summand.
+    term_j/(pi*d) for sin-prefixed ones, term_j being the j-th summand
+    of the integrand's power family, times the constant of _integrand.
     """
-    traits = TRAITS[desc.family]
-    d, m, b = desc.d, desc.m, desc.b
+    spec = validate_params(spec)
+    family, p, b, constant = _integrand(spec)
+    traits = TRAITS[family]
+    d, m = spec.d, spec.m
     beta = math.remainder(b, float(traits.shift_period))
     base = cot_pi if traits.shift_kind == "cot" else csc_pi
     out = []
     for j in range(d):
-        factor = base(j / d + beta) ** desc.pole_order
+        factor = base(j / d + beta) ** p
         num = (m if traits.odd_m else 2 * m) * j
         plus = phase_ratio(num, d) * factor
         minus = phase_ratio(-num, d) * factor
-        if traits.prefix == "cos":
-            out.append((plus + minus) / (2j * math.pi * d))
-        else:
-            out.append((plus - minus) / (2j * math.pi * d))
+        both = plus + minus if traits.prefix == "cos" else plus - minus
+        out.append(constant * (both / (2j * math.pi * d)))
     return tuple(out)
-
-
-def _power_sum(family: Family, d: int, m: int, b: float, n: int) -> complex:
-    """The power-family sum at (d, m, b, n), from its interior residue."""
-    res = residue_at_interior_pole(IntegrandDescriptor(family, d, m, b, pole_order(family, n)))
-    scale = -(math.pi * 1j * d) if TRAITS[family].prefix == "cos" else complex(-(math.pi * d))
-    return scale * res
 
 
 def sum_via_residues(spec: SumSpec) -> SumValue:
     """Reconstruct the sum from the interior residue alone."""
     spec = validate_params(spec)
-    traits = TRAITS[spec.family]
-    if not traits.supports_residue:
-        raise _uncovered(spec.family)
+    family, p, b, constant = _integrand(spec)
     # a product family walks as itself, though its residue is the cot one
     enter_walk(spec.family)
     folded, fold_sign = frequency_fold(spec)
     if folded is None:
         return SumValue(0.0, 0.0, "residue")
-    d, m = folded.d, folded.m
-    b, b2 = reduced_shifts(spec)
-    if traits.kind == "power":
-        value = _power_sum(spec.family, d, m, b, spec.n)
-    else:
-        # csc x * sin(x + D) = sin D * cot x + cos D with D = pi (b2 - b + r/2), r the
-        # quarter turns taking sin to the second factor; cos D sums to zero
-        assert b2 is not None
-        cot = Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT
-        value = quarter_turns(b2 - b, QUARTER_TURNS[traits.second_kind]) \
-            * _power_sum(cot, d, m, b, 1)
+    d = folded.d
+    scale = -(math.pi * 1j * d) if TRAITS[family].prefix == "cos" else complex(-(math.pi * d))
+    value = constant * (scale * _interior_residue(family, p, d, folded.m, b))
     return as_sum_value(complex(fold_sign * value.real, fold_sign * value.imag), "residue")

@@ -246,6 +246,26 @@ def test_table_explicit_offset_row(capsys):
     assert cols[12] == "pass"
 
 
+def test_classical_point_compares_closed_against_oracle(capsys):
+    # at b = 0 the sin-cot integrand's interior pole merges with the j = 0
+    # boundary pole, so the residue path sits out and the sum is d - 2m
+    code, out, err = run(capsys, ["table", "--family", "sin-cot", "--dmax", "3", "--b", "0"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[2], row[3]) for row in rows] == [("2", "1"), ("3", "1"), ("3", "2")]
+    for row in rows:
+        d, m = int(row[2]), int(row[3])
+        assert float(row[6]) == pytest.approx(d - 2 * m, abs=1e-12)
+        assert float(row[7]) == pytest.approx(d - 2 * m, abs=1e-12)
+        assert row[8] == "" and row[12] == "pass"
+    code, out, err = run(capsys, ["eval", "--family", "sin-cot", "--d", "5", "--m", "2",
+                                  "--b", "0", "--all-paths", "--json"])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["value"] == 1.0 and abs(obj["oracle"] - 1.0) <= 1e-12
+    assert obj["residue"] is None and obj["status"] == "pass"
+
+
 def test_table_covers_every_family(capsys):
     code, out, _ = run(capsys, ["table", "--family", "all", "--dmax", "3"])
     assert code == 0

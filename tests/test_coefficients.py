@@ -139,16 +139,22 @@ def test_apostol_recurrence_property():
 
 
 def test_apostol_generating_function_partial_sum():
+    # sum A_nu(t) (scale w)^nu / nu! against 1/(t e^(scale w) - 1) on |w| = 0.05
     rng = random.Random(7)
+    cases = []
     for _ in range(10):
         t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(t - 1.0) <= 0.3:
             continue
-        z = 0.05 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        table = apostol_coeff_table(12, t)
-        partial = sum(table[nu] * z ** nu / math.factorial(nu) for nu in range(13))
+        cases.append((t, 1.0, 12, 1e-10, rng.uniform(0, 2 * math.pi)))
+    # the residue engine's kernel: complex t and the imaginary scale 2 pi i d
+    cases += [(1.7 - 0.4j, 2j * math.pi, 40, 1e-9, theta) for theta in (0.3, 2.1, 4.0)]
+    for t, scale, order, tol, theta in cases:
+        z = scale * 0.05 * cmath.exp(1j * theta)
+        table = apostol_coeff_table(order, t)
+        partial = sum(table[nu] * z ** nu / math.factorial(nu) for nu in range(order + 1))
         direct = 1.0 / (t * cmath.exp(z) - 1.0)
-        assert abs(partial - direct) <= 1e-10
+        assert abs(partial - direct) <= tol, (t, scale)
 
 
 def test_apostol_degenerate_parameter_rejected():

@@ -1,4 +1,4 @@
-"""Laurent arithmetic, factor expansions, and residue reconstruction."""
+"""Laurent arithmetic, the singular factor's expansion, and residue reconstruction."""
 
 import cmath
 import math
@@ -17,16 +17,15 @@ from trigsum import (
     RESIDUE_FAMILIES,
     TRAITS,
     Family,
-    IntegrandDescriptor,
     LaurentSeries,
     SumSpec,
+    apostol_coeff_table,
     boundary_residues,
     closed_form_value,
     direct_sum,
     expand_factor,
     pole_order,
     residue_at_interior_pole,
-    series_from_coeffs,
     series_mul,
     series_pow,
     sum_via_residues,
@@ -35,8 +34,15 @@ from trigsum import (
 )
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
+from trigsum.families import reduced_shifts
 from trigsum.residue_engine import _singular_power
-from trigsum.trig import phase
+from trigsum.trig import QUARTER_TURNS, phase, quarter_turns
+
+
+def series(min_degree, coeffs):
+    """The series with these coefficients from w^min_degree, truncated after the last."""
+    cs = tuple(complex(c) for c in coeffs)
+    return LaurentSeries(min_degree, cs, min_degree + len(cs) - 1)
 
 
 def coeffs_close(a, b, lo, hi, tol):
@@ -50,36 +56,36 @@ def coeffs_close(a, b, lo, hi, tol):
 # --- series arithmetic --------------------------------------------------------
 
 def test_mul_examples():
-    s = series_mul(series_from_coeffs(-1, [1.0]), series_from_coeffs(1, [1.0]))
+    s = series_mul(series(-1, [1.0]), series(1, [1.0]))
     assert s.coefficient(0) == 1.0
-    a = series_from_coeffs(0, [1.0, 1.0, 0.0])
-    b = series_from_coeffs(0, [1.0, -1.0, 0.0])
+    a = series(0, [1.0, 1.0, 0.0])
+    b = series(0, [1.0, -1.0, 0.0])
     s = series_mul(a, b)
     assert (s.coefficient(0), s.coefficient(1), s.coefficient(2)) == (1.0, 0j, -1.0)
 
 
 def test_pow_examples():
-    s = series_pow(series_from_coeffs(-1, [1.0]), 2)
+    s = series_pow(series(-1, [1.0]), 2)
     assert s.min_degree == -2 and s.coefficient(-2) == 1.0
-    cube = series_pow(series_from_coeffs(0, [1.0, 1.0, 0.0, 0.0]), 3)
+    cube = series_pow(series(0, [1.0, 1.0, 0.0, 0.0]), 3)
     assert [cube.coefficient(k).real for k in range(4)] == [1.0, 3.0, 3.0, 1.0]
     with pytest.raises(ParameterError, match="must be positive"):
-        series_pow(series_from_coeffs(0, [1.0]), 0)
+        series_pow(series(0, [1.0]), 0)
 
 
 def test_cot_times_sin_is_cos():
     order = 10
-    cot = expand_factor("cot_shifted", {}, order)
+    cot = expand_factor("cot", order)
     taylor = [math.pi ** k / math.factorial(k) for k in range(order + 1)]
-    sin = series_from_coeffs(0, [(0, 1, 0, -1)[k % 4] * t for k, t in enumerate(taylor)])
-    cos = series_from_coeffs(0, [(1, 0, -1, 0)[k % 4] * t for k, t in enumerate(taylor)])
+    sin = series(0, [(0, 1, 0, -1)[k % 4] * t for k, t in enumerate(taylor)])
+    cos = series(0, [(1, 0, -1, 0)[k % 4] * t for k, t in enumerate(taylor)])
     prod = series_mul(cot, sin)
     assert prod.min_degree >= 0
     assert coeffs_close(prod, cos, 0, prod.truncation_order, 1e-10)
 
 
 def test_squared_cotangent_leading_term():
-    sq = series_pow(expand_factor("cot_shifted", {}, 6), 2)
+    sq = series_pow(expand_factor("cot", 6), 2)
     assert sq.min_degree == -2
     assert sq.coefficient(-2).real == pytest.approx(math.pi ** -2, rel=1e-15)
 
@@ -87,7 +93,7 @@ def test_squared_cotangent_leading_term():
 def test_series_shape_contracts():
     with pytest.raises(ParameterError, match="inconsistent series shape"):
         LaurentSeries(0, (1.0 + 0j,), 5)
-    s = series_from_coeffs(0, [1.0, 2.0])
+    s = series(0, [1.0, 2.0])
     assert s.coefficient(-3) == 0j
     with pytest.raises(ParameterError, match="beyond truncation"):
         s.coefficient(2)
@@ -97,9 +103,7 @@ _coeff = st.tuples(
     st.floats(-8, 8, allow_nan=False), st.floats(-8, 8, allow_nan=False)
 ).map(lambda p: complex(*p))
 
-_series = st.builds(
-    series_from_coeffs, st.integers(-3, 2), st.lists(_coeff, min_size=1, max_size=6)
-)
+_series = st.builds(series, st.integers(-3, 2), st.lists(_coeff, min_size=1, max_size=6))
 
 
 @settings(max_examples=120, deadline=None)
@@ -122,10 +126,10 @@ def test_mul_associates_on_common_span(a, b, c):
         assert coeffs_close(left, right, lo, hi, 1e-12)
 
 
-# --- factor expansions ----------------------------------------------------------
+# --- the singular factor ----------------------------------------------------------
 
 def test_expand_cot_low_order():
-    s = expand_factor("cot_shifted", {}, 1)
+    s = expand_factor("cot", 1)
     assert s.coefficient(-1).real == pytest.approx(1 / math.pi, rel=1e-15)
     assert s.coefficient(0) == 0j
     assert s.coefficient(1).real == pytest.approx(-math.pi / 3, rel=1e-15)
@@ -134,25 +138,18 @@ def test_expand_cot_low_order():
 def test_expand_csc_low_order():
     # local frame sits one half period past the pole, so the cosecant
     # carries the reflected sign
-    s = expand_factor("csc_shifted", {}, 1)
+    s = expand_factor("csc", 1)
     assert s.coefficient(-1).real == pytest.approx(-1 / math.pi, rel=1e-15)
     assert s.coefficient(1).real == pytest.approx(-math.pi / 6, rel=1e-15)
 
 
-def test_expand_apostol_low_order():
-    s = expand_factor("apostol_kernel", {"t": 2.0, "scale": 1.0}, 1)
-    assert s.coefficient(0) == pytest.approx(1.0, rel=1e-15)
-    assert s.coefficient(1) == pytest.approx(-2.0, rel=1e-15)
-
-
 def test_expand_rejects_bad_requests():
-    for kind in ("tan_shifted", "cos_shifted"):
+    # only the singular factor is a kind; the exponential and the kernel are not
+    for kind in ("tan", "cot_shifted", "exp_linear", "apostol_kernel"):
         with pytest.raises(ParameterError, match="unknown factor kind"):
-            expand_factor(kind, {}, 3)
+            expand_factor(kind, 3)
     with pytest.raises(ParameterError, match="below the pole degree"):
-        expand_factor("cot_shifted", {}, -2)
-    with pytest.raises(ParameterError, match="below the minimal degree"):
-        expand_factor("exp_linear", {"coefficient": 1.0}, -1)
+        expand_factor("cot", -2)
 
 
 def series_eval(a, w):
@@ -163,70 +160,90 @@ def series_eval(a, w):
 @pytest.mark.parametrize("theta", [0.3, 2.1, 4.0])
 def test_expansion_fidelity_on_small_circle(theta):
     w = 0.05 * cmath.exp(1j * theta)
-    c = 1.7 - 0.3j
-    got = series_eval(expand_factor("exp_linear", {"coefficient": c}, 12), w)
-    assert abs(got - cmath.exp(c * w)) <= 1e-9
-
-    got = series_eval(expand_factor("cot_shifted", {}, 14), w)
+    got = series_eval(expand_factor("cot", 14), w)
     want = cmath.cos(math.pi * w) / cmath.sin(math.pi * w)
     assert abs(got - want) <= 1e-9
 
-    got = series_eval(expand_factor("csc_shifted", {}, 14), w)
+    got = series_eval(expand_factor("csc", 14), w)
     assert abs(got - (-1.0 / cmath.sin(math.pi * w))) <= 1e-9
 
-    # a real kernel, and a complex one with the engine's imaginary scale 2 pi i d
-    for t, scale, order in ((2.0, 1.0, 12), (1.7 - 0.4j, 2j * math.pi, 40)):
-        got = series_eval(expand_factor("apostol_kernel", {"t": t, "scale": scale}, order), w)
-        assert abs(got - 1.0 / (t * cmath.exp(scale * w) - 1.0)) <= 1e-9, t
 
+# --- residues -----------------------------------------------------------------------
 
-# --- descriptors and residues -----------------------------------------------------
-
-def test_descriptor_pole_orders():
-    assert IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 5, 2, 0.1, 3)).pole_order == 3
-    assert IntegrandDescriptor.from_spec(SumSpec(Family.SIN_CSC_2N, 5, 2, 0.1, 2)).pole_order == 4
-    assert IntegrandDescriptor.from_spec(SumSpec(Family.SIN_CSC_ODD, 5, 3, 0.1, 2)).pole_order == 3
-
-
-def test_descriptor_rejects_uncovered_families():
-    # the csc x cos/sin products go through the cot residue, not an integrand of their own
-    for spec in (
-        SumSpec(Family.COS_CSC_COS, 5, 2, 0.1, 1, 0.4),
-        SumSpec(Family.COS_TAN, 5, 2, 0.17),
-        SumSpec(Family.COS_SEC_COS, 5, 2, 0.07, 1, 0.2),
-        SumSpec(Family.SIN_SEC_SEC, 5, 2, 0.07, 1, 0.21),
-    ):
-        with pytest.raises(ParameterError, match="not covered by the residue engine"):
-            IntegrandDescriptor.from_spec(spec)
+def test_pole_orders():
+    assert pole_order(Family.COS_COT, 3) == 3
+    assert pole_order(Family.SIN_CSC_2N, 2) == 4
+    assert pole_order(Family.SIN_CSC_ODD, 2) == 3
     with pytest.raises(ParameterError, match="not a power family"):
         pole_order(Family.COS_CSC_COS, 1)
 
 
+def test_residue_functions_reject_uncovered_specs():
+    for spec in (
+        SumSpec(Family.COS_TAN, 5, 2, 0.17),
+        SumSpec(Family.COS_SEC_COS, 5, 2, 0.07, 1, 0.2),
+        SumSpec(Family.SIN_SEC_SEC, 5, 2, 0.07, 1, 0.21),
+    ):
+        for path in (residue_at_interior_pole, boundary_residues):
+            with pytest.raises(ParameterError, match="not covered by the residue engine"):
+                path(spec)
+    # at the classical point the interior pole merges with the j = 0 boundary pole
+    for path in (residue_at_interior_pole, boundary_residues, sum_via_residues):
+        with pytest.raises(ParameterError, match="classical point b = 0"):
+            path(SumSpec(Family.SIN_COT, 5, 2, 0.0))
+
+
+def test_residue_functions_take_a_product_spec():
+    # a csc x cos/sin product's residues are the first-power cot integrand's
+    # at (d, m, b), times sin(pi (b2 - b + r/2))
+    for family in (f for f in RESIDUE_FAMILIES if TRAITS[f].kind == "triple"):
+        traits = TRAITS[family]
+        cot = Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT
+        for d, m, b, b2 in ((5, 2, 0.137, 0.447), (8, 3, 0.71, 0.05), (3, 1, 0.29, 1.4)):
+            product = SumSpec(family, d, m, b, 1, b2)
+            constant = quarter_turns(b2 - b, QUARTER_TURNS[traits.second_kind])
+            plain = SumSpec(cot, d, m, b)
+            assert residue_at_interior_pole(product) == \
+                constant * residue_at_interior_pole(plain), product
+            assert boundary_residues(product) == \
+                tuple(constant * r for r in boundary_residues(plain)), product
+
+
 def test_interior_residue_examples():
-    desc = IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 2, 1, 0.25))
-    assert abs(residue_at_interior_pole(desc) - 1j / math.pi) <= 1e-12
-    desc = IntegrandDescriptor.from_spec(SumSpec(Family.SIN_COT, 2, 1, 0.25))
-    assert abs(residue_at_interior_pole(desc)) <= 1e-15
+    assert abs(residue_at_interior_pole(SumSpec(Family.COS_COT, 2, 1, 0.25)) - 1j / math.pi) <= 1e-12
+    assert abs(residue_at_interior_pole(SumSpec(Family.SIN_COT, 2, 1, 0.25))) <= 1e-15
 
 
-def _full_product_residue(desc):
+def _exp_series(a, order):
+    """exp(a w) through w^order."""
+    return LaurentSeries(0, tuple(a ** k / math.factorial(k) for k in range(order + 1)), order)
+
+
+def _kernel_series(t, scale, order):
+    """1/(t exp(scale w) - 1) through w^order, from the Apostol coefficients."""
+    table = apostol_coeff_table(order, t)
+    return LaurentSeries(
+        0, tuple(table[k] * scale ** k / math.factorial(k) for k in range(order + 1)), order
+    )
+
+
+def _full_product_residue(spec):
     """The w^-1 coefficient of each branch's full truncated product, at order p + 2."""
-    traits = TRAITS[desc.family]
-    p, d, m, b = desc.pole_order, desc.d, desc.m, desc.b
+    traits = TRAITS[spec.family]
+    p, d, m, b = pole_order(spec.family, spec.n), spec.d, spec.m, reduced_shifts(spec)[0]
     order = p + 2
     if traits.odd_m:
         x1, x1c, a = phase(-m * (b - 1.0)), phase(m * (b - 1.0)), 1j * math.pi * m
     else:
         x1, x1c, a = phase(-2.0 * m * b), phase(2.0 * m * b), 2j * math.pi * m
-    kind = "cot_shifted" if traits.shift_kind == "cot" else "csc_shifted"
-    singular = series_pow(expand_factor(kind, {}, order), p)
+    singular = series_pow(expand_factor(traits.shift_kind, order), p)
     plus = series_mul(
-        series_mul(expand_factor("exp_linear", {"coefficient": a}, order), singular),
-        expand_factor("apostol_kernel", {"t": phase(-2.0 * d * b), "scale": 2j * math.pi * d}, order),
+        series_mul(_exp_series(a, order), singular),
+        _kernel_series(phase(-2.0 * d * b), 2j * math.pi * d, order),
     )
     minus = series_mul(
-        series_mul(expand_factor("exp_linear", {"coefficient": -a}, order), singular),
-        expand_factor("apostol_kernel", {"t": phase(2.0 * d * b), "scale": -2j * math.pi * d}, order),
+        series_mul(_exp_series(-a, order), singular),
+        _kernel_series(phase(2.0 * d * b), -2j * math.pi * d, order),
     )
     second = -x1c if traits.prefix == "cos" else x1c
     return x1 * plus.coefficient(-1) + second * minus.coefficient(-1)
@@ -244,20 +261,19 @@ def test_interior_residue_is_the_full_product_coefficient():
                 m = rng.randint(1, d - 1)
                 b = rng.uniform(-1.0, 1.0) + (1e9 if checked == 0 else 0.0)
                 try:
-                    desc = IntegrandDescriptor.from_spec(SumSpec(family, d, m, b, n))
+                    spec = validate_params(SumSpec(family, d, m, b, n))
                 except ParameterError:
                     continue
-                got = residue_at_interior_pole(desc)
-                want = _full_product_residue(desc)
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), desc
+                got = residue_at_interior_pole(spec)
+                want = _full_product_residue(spec)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), spec
                 checked += 1
 
 
 def test_boundary_residue_examples():
-    desc = IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 2, 1, 0.25))
-    assert abs(boundary_residues(desc)[0] - 1.0 / (2j * math.pi)) <= 1e-12
-    desc = IntegrandDescriptor.from_spec(SumSpec(Family.SIN_COT, 2, 1, 0.25))
-    assert boundary_residues(desc)[1] == 0j
+    got = boundary_residues(SumSpec(Family.COS_COT, 2, 1, 0.25))[0]
+    assert abs(got - 1.0 / (2j * math.pi)) <= 1e-12
+    assert boundary_residues(SumSpec(Family.SIN_COT, 2, 1, 0.25))[1] == 0j
 
 
 def test_boundary_residue_at_zero_identity():
@@ -265,8 +281,7 @@ def test_boundary_residue_at_zero_identity():
 
     for n in (1, 2, 3):
         for d, b in ((3, 0.21), (7, 0.137), (5, -0.29)):
-            desc = IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, d, 1, b, n))
-            got = boundary_residues(desc)[0]
+            got = boundary_residues(SumSpec(Family.COS_COT, d, 1, b, n))[0]
             want = cot_pi(b) ** n / (math.pi * 1j * d)
             assert abs(got - want) <= 1e-10 * abs(want), (n, d, b)
 
@@ -288,10 +303,9 @@ def test_interior_residue_matches_multi_index_path():
             continue
         spec = SumSpec(family, d, m, rng.uniform(0.03, 0.97), rng.randint(1, 4))
         try:
-            desc = IntegrandDescriptor.from_spec(spec)
+            res = residue_at_interior_pole(spec)
         except ParameterError:
             continue
-        res = residue_at_interior_pole(desc)
         if TRAITS[family].prefix == "cos":
             via_residue = (-(math.pi * 1j * d) * res).real
         else:
@@ -316,26 +330,22 @@ def test_residue_closure_over_one_period():
         n = 1 if traits.kind == "triple" else rng.randint(1, 3)
         b2 = rng.uniform(0.05, 0.95) if traits.kind == "triple" else None
         spec = SumSpec(family, d, m, rng.uniform(0.03, 0.97), n, b2)
-        if traits.kind == "triple":
-            # a csc x cos/sin product's residue is the n = 1 cot residue at (d, m, b)
-            spec = SumSpec(Family.COS_COT if traits.prefix == "cos" else Family.SIN_COT, d, m, spec.b)
         try:
-            desc = IntegrandDescriptor.from_spec(spec)
+            bres = boundary_residues(spec)
         except ParameterError:
             continue
-        bres = boundary_residues(desc)
-        total = residue_at_interior_pole(desc) + sum(bres)
+        total = residue_at_interior_pole(spec) + sum(bres)
         scale = max(abs(r) for r in bres)
         assert abs(total) <= 1e-10 * scale, spec
         checked += 1
 
 
 def test_residue_closure_at_a_large_shift():
-    # the descriptor reduces b by its period, so m*b and d*b keep their digits
+    # the residue functions reduce b by its period, so m*b and d*b keep their digits
     for b in (0.137, 1e9 + 0.137):
-        desc = IntegrandDescriptor.from_spec(SumSpec(Family.COS_COT, 7, 2, b, 2))
-        bres = boundary_residues(desc)
-        total = residue_at_interior_pole(desc) + sum(bres)
+        spec = SumSpec(Family.COS_COT, 7, 2, b, 2)
+        bres = boundary_residues(spec)
+        total = residue_at_interior_pole(spec) + sum(bres)
         assert abs(total) <= 1e-12 * max(abs(r) for r in bres), b
 
 
