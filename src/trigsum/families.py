@@ -6,7 +6,8 @@ families) times one or two shifted singular factors. The catalog
 records, per family, the singular factor kinds, the summation range,
 which evaluation paths apply, and the exclusion set of shifts where a
 term would sit on a pole. It also holds the family walk, the scope of
-the m-, d- and b-free tables the closed form and the residue path keep.
+the m-free tables the closed form, the residue path and the oracle's
+conditioning keep.
 """
 
 from __future__ import annotations
@@ -160,10 +161,12 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
 
 
 # The family walk: the run of consecutive calls on one family, which is
-# how verify, table and the sweeps order their work. The walk caches keep
-# their tables for one walk and drop them when a call enters another
-# family, so a walk that starts on a family other than the last one
-# called starts cold: its work does not depend on what ran before it. A
+# how verify, table and the sweeps order their work. The walk caches (the
+# closed form's weights and slices, the residue path's cot/csc power and
+# kernels, the oracle's pole distance behind conditioning) keep their
+# tables for one walk and drop them when a call enters another family,
+# so a walk that starts on a family other than the last one called
+# starts cold: its work does not depend on what ran before it. A
 # process-wide memo would let a run find the tables an earlier run built,
 # and its traced counts would not repeat. Concurrent callers on different
 # families only cost rebuilds; no value depends on the caches.
@@ -200,8 +203,13 @@ def pole_order(family: Family, n: int) -> int:
 
 
 def is_classical(spec: SumSpec) -> bool:
-    """The one b = 0 case admitted by dispensation (value d - 2m)."""
-    return spec.family is Family.SIN_COT and spec.b == 0.0 and spec.n == 1
+    """The one b = 0 case admitted by dispensation (value d - 2m).
+
+    b is taken reduced by its period, so every integer shift is the
+    classical point, as it is for the oracle's terms.
+    """
+    return (spec.family is Family.SIN_COT and spec.n == 1
+            and reduced_shifts(spec)[0] == 0.0)
 
 
 def frequency_fold(spec: SumSpec) -> tuple[SumSpec | None, float]:

@@ -13,12 +13,15 @@ The interior residue is the w^{-1} coefficient of the local series in
 w = z - (1-b), and only that coefficient is formed: per kernel branch it
 is the sum over deg < 0 of (exp * cot^p)_deg * kernel_{-1-deg}, which
 needs the exponential and the kernel through w^(p-1) and the cot/csc
-power through w^-1 (p the pole order). The cot/csc power does not
-depend on d, b or m, so it is built once per (kind, pole order) and kept
-for the family walk (families.enter_walk), as the closed form keeps its
-composition weights. b enters only through phases (the constant x1 and
-the kernel's t), so it is reduced by its period first and the phases
-stay accurate at large shifts.
+power through w^-1 (p the pole order). Only the exponential numerator
+depends on m. The cot/csc power depends on neither d, b nor m, and the
+kernel 1/(t e^{cw} - 1) of each branch only on (p, d, b), so both are
+kept for the family walk (families.enter_walk), as the closed form keeps
+its composition weights and slices: a sweep over m builds the kernel
+once per (p, d, b) and pays per m only for the phases, the exponential
+coefficients and the p-term convolution. b enters only through phases
+(the constant x1 and the kernel's t), so it is reduced by its period
+first and the phases stay accurate at large shifts.
 
 The four csc x cos/sin product families are taken through the
 first-power cot integrand (_integrand), by the identity the closed form
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import apostol_coeff_table, cot_coeff, csc_coeff
+from .coefficients import apostol_coeff_table, check_index, cot_coeff, csc_coeff
 from .errors import ParameterError
 from .families import (
     TRAITS,
@@ -48,6 +51,10 @@ from .families import (
     walk_cache,
 )
 from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
+
+# kernels kept warm; verify's order keeps len(offsets) * nmax of them in
+# use across one (family, d)
+KERNEL_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -168,18 +175,33 @@ def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
     return series_pow(expand_factor(kind, pole_order - 2), pole_order)
 
 
-def _branch_residue(singular: tuple[complex, ...], exp_coeff: complex, t: complex,
-                    scale: complex) -> complex:
-    """The w^{-1} coefficient of exp(exp_coeff w) * singular * kernel(t, scale w).
+def _kernel(p: int, t: complex, scale: complex) -> tuple[complex, ...]:
+    """One branch's kernel sum A_nu(t) (scale w)^nu / nu!, through w^(p-1)."""
+    table = apostol_coeff_table(p - 1, t)
+    return tuple([table[k] * scale ** k / math.factorial(k) for k in range(p)])
 
-    singular holds the cot/csc power's coefficients of w^-p..w^-1; the
-    kernel is sum A_nu(t) (scale w)^nu / nu!. Each coefficient is
-    accumulated in ascending index, as series_mul does.
+
+@walk_cache(KERNEL_CACHE_SIZE)
+def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Both branches' kernels at (d, b), through w^(p-1).
+
+    The first has t = phase(-2db) and scale 2 pi i d, the second their
+    conjugates. Neither depends on m, nor on n beyond the pole order p.
+    """
+    return (_kernel(p, phase(-2.0 * d * b), 2j * math.pi * d),
+            _kernel(p, phase(2.0 * d * b), -2j * math.pi * d))
+
+
+def _branch_residue(singular: tuple[complex, ...], exp_coeff: complex,
+                    kernel: tuple[complex, ...]) -> complex:
+    """The w^{-1} coefficient of exp(exp_coeff w) * singular * kernel.
+
+    singular holds the cot/csc power's coefficients of w^-p..w^-1, and
+    kernel the kernel's of w^0..w^(p-1) (see _kernels). Each coefficient
+    is accumulated in ascending index, as series_mul does.
     """
     p = len(singular)
     exp = [exp_coeff ** k / math.factorial(k) for k in range(p)]
-    table = apostol_coeff_table(p - 1, t)
-    kernel = [table[k] * scale ** k / math.factorial(k) for k in range(p)]
     acc = 0j
     for i in range(p):
         product = 0j  # (exp * singular) at w^(i-p)
@@ -196,8 +218,11 @@ def _interior_residue(family: Family, p: int, d: int, m: int, b: float) -> compl
     x1, x1c = phase(-theta), phase(theta)
     exp_coeff = (1j if traits.odd_m else 2j) * math.pi * m
     singular = _singular_power(traits.shift_kind, p).coeffs
-    plus = _branch_residue(singular, exp_coeff, phase(-2.0 * d * b), 2j * math.pi * d)
-    minus = _branch_residue(singular, -exp_coeff, phase(2.0 * d * b), -2j * math.pi * d)
+    # warm kernels skip the coefficient call, so the cap is checked here
+    check_index(p - 1, "apostol_coeff")
+    kernel, kernel_c = _kernels(p, d, b)
+    plus = _branch_residue(singular, exp_coeff, kernel)
+    minus = _branch_residue(singular, -exp_coeff, kernel_c)
     second_phase = -x1c if traits.prefix == "cos" else x1c
     return x1 * plus + second_phase * minus
 

@@ -266,6 +266,21 @@ def test_classical_point_compares_closed_against_oracle(capsys):
     assert obj["residue"] is None and obj["status"] == "pass"
 
 
+def test_classical_point_holds_at_every_integer_shift(capsys):
+    # sin-cot has period 1 in b, so every integer shift is the b = 0 sum
+    for b in ("1", "2", "-1", "1e9"):
+        code, out, err = run(capsys, ["eval", "--family", "sin-cot", "--d", "5", "--m", "2",
+                                      "--b", b, "--all-paths", "--json"])
+        assert (code, err) == (0, ""), b
+        obj = json.loads(out)
+        assert obj["value"] == 1.0 and abs(obj["oracle"] - 1.0) <= 1e-12, b
+        assert obj["residue"] is None and obj["status"] == "pass", b
+    # the dispensation is for n = 1 only
+    code, _, err = run(capsys, ["eval", "--family", "sin-cot", "--d", "5", "--m", "2",
+                                "--b", "1", "--n", "2"])
+    assert code == 2 and "singular set" in err
+
+
 def test_table_covers_every_family(capsys):
     code, out, _ = run(capsys, ["table", "--family", "all", "--dmax", "3"])
     assert code == 0

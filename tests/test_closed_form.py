@@ -13,6 +13,7 @@ from trigsum import (
     Family,
     SumSpec,
     closed_form_value,
+    conditioning,
     corollary_value,
     direct_sum,
     pole_order,
@@ -30,7 +31,8 @@ from trigsum.closed_form import (
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
-from trigsum.residue_engine import _singular_power
+from trigsum.oracle import _pole_distance
+from trigsum.residue_engine import _kernels, _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
 
 from mp_reference import prefix_vanishes, reference_sum
@@ -256,28 +258,36 @@ def test_walk_caches_hold_one_family():
     def sizes():
         return (_power_slice.cache_info().currsize,
                 _composition_weights.cache_info().currsize,
-                _singular_power.cache_info().currsize)
+                _singular_power.cache_info().currsize,
+                _kernels.cache_info().currsize,
+                _pole_distance.cache_info().currsize)
 
     theorem_sum(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
     sum_via_residues(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 1)
+    assert sizes() == (1, 1, 1, 1, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0)
+    assert sizes() == (1, 1, 0, 0, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
-    assert sizes() == (2, 2, 0)
+    assert sizes() == (2, 2, 0, 0, 0)
     # the weights depend only on (kind, n), so a new d or b reuses them
     built = _composition_weights.cache_info().misses
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.COS_COT, 9, 1, 0.3, 3))
     assert _composition_weights.cache_info().misses == built
     sum_via_residues(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
-    assert sizes() == (4, 2, 1)
+    # the kernels and the pole distance depend on neither m nor (beyond the pole order) n
+    sum_via_residues(SumSpec(Family.COS_COT, 8, 5, 0.137, 2))
+    conditioning(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
+    conditioning(SumSpec(Family.COS_COT, 8, 1, 0.137, 3))
+    assert sizes() == (4, 2, 1, 1, 1)
     # a product family walks as itself, not as the cot family its residue uses
     sum_via_residues(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1)
+    assert sizes() == (0, 0, 1, 1, 0)
+    conditioning(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
+    assert sizes() == (0, 0, 1, 1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0)
+    assert sizes() == (1, 1, 0, 0, 0)
 
 
 def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):

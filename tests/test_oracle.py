@@ -12,7 +12,7 @@ from trigsum import (
     term_magnitude_sum,
 )
 from trigsum.errors import NumericError, ParameterError
-from trigsum.oracle import _terms
+from trigsum.oracle import _pole_distance, _terms
 from trigsum.trig import cos_pi_ratio, cot_pi, csc_pi, sec_pi, tan_pi
 
 from mp_reference import reference_sum
@@ -40,6 +40,21 @@ def test_conditioning_triple_tracks_both_factors():
     spec = SumSpec(Family.COS_CSC_SEC, 4, 1, 0.1, 1, 0.52)
     got = conditioning(spec)
     assert got == pytest.approx(math.pi * 0.02, rel=1e-9)
+
+
+def test_conditioning_cold_and_warm_give_the_same_bits():
+    for family, d, n, b2 in ((Family.COS_CSC_2N, 8, 2, None), (Family.SIN_COT_2D, 7, 1, None),
+                             (Family.COS_TAN, 9, 1, None), (Family.SIN_CSC_SEC, 8, 1, 0.447)):
+        specs = [SumSpec(family, d, m, b, nn, b2) for m in range(1, d) for nn in range(1, n + 1)
+                 for b in (0.137, 0.2500001, 1e9 + 0.3)]
+        for spec in specs:
+            _pole_distance.cache_clear()
+            cold = conditioning(spec).hex()
+            for other in specs:
+                conditioning(other)
+            # the distance depends on neither m nor n
+            assert _pole_distance.cache_info().currsize == 3
+            assert conditioning(spec).hex() == cold, spec
 
 
 def test_shift_periodicity_is_bit_exact_for_dyadic_shifts():

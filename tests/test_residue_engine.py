@@ -22,6 +22,7 @@ from trigsum import (
     apostol_coeff_table,
     boundary_residues,
     closed_form_value,
+    conditioning,
     direct_sum,
     expand_factor,
     pole_order,
@@ -35,7 +36,8 @@ from trigsum import (
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
 from trigsum.families import reduced_shifts
-from trigsum.residue_engine import _singular_power
+from trigsum import residue_engine
+from trigsum.residue_engine import _integrand, _kernels, _singular_power
 from trigsum.trig import QUARTER_TURNS, phase, quarter_turns
 
 
@@ -377,6 +379,60 @@ def test_singular_power_cold_and_warm_give_the_same_bits():
                 (cold.value.hex(), cold.imag_residual.hex()), spec
 
 
+def _residue_bits(spec):
+    value = sum_via_residues(spec)
+    res = residue_at_interior_pole(spec)
+    return value.value.hex(), value.imag_residual.hex(), res.real.hex(), res.imag.hex()
+
+
+def test_kernels_cold_and_warm_give_the_same_bits():
+    for family, d, n, b2 in ((Family.COS_COT, 9, 3, None), (Family.SIN_CSC_2N, 8, 2, None),
+                             (Family.COS_CSC_ODD, 9, 3, None), (Family.SIN_CSC_COS, 8, 1, 0.447)):
+        specs = [validate_params(SumSpec(family, d, m, b, n, b2))
+                 for m in range(1, d) for b in (0.137, 1e9 + 0.3)
+                 if not TRAITS[family].odd_m or m % 2]
+        for spec in specs:
+            _kernels.cache_clear()
+            cold = _residue_bits(spec)
+            for other in specs:
+                sum_via_residues(other)
+            assert _kernels.cache_info().currsize == 2
+            assert _residue_bits(spec) == cold, spec
+
+
+def test_a_sweep_over_m_builds_each_kernel_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return apostol_coeff_table(*args)
+
+    monkeypatch.setattr(residue_engine, "apostol_coeff_table", counted)
+    families = (Family.COS_COT, Family.COS_CSC_ODD, Family.COS_CSC_COS)
+    specs = [spec for spec, _ in grid_cases(families, 6, 3)]
+    # end the walk whatever ran before, so the first pass starts cold as well
+    sum_via_residues(SumSpec(Family.SIN_COT, 5, 1, 0.137))
+    passes = []
+    for _ in range(3):
+        built.clear()
+        values = [sum_via_residues(spec).value.hex() for spec in specs]
+        passes.append((len(built), values))
+    assert passes[0] == passes[1] == passes[2]
+    # two branches per (family, pole order, d, b), whatever the number of m
+    kernels = {(s.family, s.d) + _integrand(s)[1:3] for s in specs}
+    assert passes[0][0] == 2 * len(kernels) < len(specs)
+
+
+def test_warm_kernels_keep_the_coefficient_cap(monkeypatch):
+    sum_via_residues(SumSpec(Family.SIN_COT, 5, 1, 0.137))   # end the walk
+    sum_via_residues(SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4))   # kernel index 2n - 1 = 7
+    assert _kernels.cache_info().currsize == 1
+    monkeypatch.setenv("TRIGSUM_COEFF_CAP", "6")
+    for path in (sum_via_residues, residue_at_interior_pole):
+        with pytest.raises(NumericError, match="order too large"):
+            path(SumSpec(Family.COS_CSC_2N, 6, 2, 0.137, 4))
+
+
 # --- reconstructed sums ------------------------------------------------------------
 
 def test_sum_via_residues_examples():
@@ -433,3 +489,18 @@ def test_closure_scan_script(monkeypatch, capsys):
     assert out.startswith("50 draws")
     ratio = float(re.search(r"max residual ratio\s+(\S+)", out).group(1))
     assert ratio < 1e-10
+
+
+def test_value_digest_script_repeats_over_warm_caches(capsys):
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "value_digest.py"))
+    specs = [spec for spec, _ in grid_cases([Family.COS_CSC_2N], 5, 3)]
+    conditioning(SumSpec(Family.SIN_COT, 5, 1, 0.137))   # end the walk: the first pass is cold
+    cold = script["digests"](specs)
+    # one family, so the second pass finds every walk cache warm
+    assert script["digests"](specs) == cold
+    assert {count for count, _ in cold.values()} == {len(specs)}
+    script["main"](["--dmax", "3", "--nmax", "2", "--draws", "20"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == ["conditioning", "term_magnitude_sum",
+                                           "closed_form_value", "direct_sum", "sum_via_residues"]
+    assert all(int(line[1]) > 20 and len(line[2]) == 64 for line in lines)
