@@ -1,10 +1,12 @@
 """Hash every path's values over the verify grid and seeded draws.
 
 Run as PYTHONPATH=src python3 scripts/value_digest.py [--dmax 24] [--nmax 4]
-[--draws 8000] [--seed 0]. Prints per public function the count of values
-hashed (each repr, or the exception's type and message) and their sha256,
-so builds that agree to the bit print the same lines. Keep n <= 4: a cold
-weight build at n >= 5 takes seconds.
+[--draws 8000] [--seed 0] [--cold]. Prints per public function the count of
+values hashed (each repr, or the exception's type and message) and their
+sha256, so builds that agree to the bit print the same lines. --cold empties
+every walk cache before each value, so the same digests with and without it
+show that cold and warm calls agree to the bit. Keep n <= 4: a cold weight
+build at n >= 5 takes seconds.
 """
 
 import argparse
@@ -15,6 +17,7 @@ from trigsum import (TRAITS, Family, SumSpec, closed_form_value, conditioning, d
                      sum_via_residues, term_magnitude_sum)
 from trigsum.cli import iter_grid_cases
 from trigsum.errors import NumericError, ParameterError
+from trigsum.families import enter_walk
 
 FUNCTIONS = (conditioning, term_magnitude_sum, closed_form_value, direct_sum, sum_via_residues)
 
@@ -31,11 +34,17 @@ def draw(rng: random.Random) -> SumSpec:
     return SumSpec(family, d, m, b, n, rng.uniform(-1.0, 1.0) if traits.kind == "triple" else None)
 
 
-def digests(specs: list[SumSpec]) -> dict[str, tuple[int, str]]:
-    """{function name: (values hashed, sha256)} over specs, in verify's call order."""
+def digests(specs: list[SumSpec], cold: bool = False) -> dict[str, tuple[int, str]]:
+    """{function name: (values hashed, sha256)} over specs, in verify's call order.
+
+    With cold, every walk cache is empty when each value is computed.
+    """
     hashes = {fn.__name__: hashlib.sha256() for fn in FUNCTIONS}
     for spec in specs:
         for fn in FUNCTIONS:
+            if cold:
+                # leaving the walk drops every walk cache, as a call on another family does
+                enter_walk(None)
             try:
                 text = repr(fn(spec))
             except (ParameterError, NumericError) as exc:
@@ -48,10 +57,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for flag, default in (("--dmax", 24), ("--nmax", 4), ("--draws", 8000), ("--seed", 0)):
         parser.add_argument(flag, type=int, default=default)
+    parser.add_argument("--cold", action="store_true",
+                        help="empty every walk cache before each value")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     specs = [spec for spec, _ in iter_grid_cases(tuple(Family), args.dmax, args.nmax)]
-    for name, (count, digest) in digests(specs + [draw(rng) for _ in range(args.draws)]).items():
+    specs += [draw(rng) for _ in range(args.draws)]
+    for name, (count, digest) in digests(specs, args.cold).items():
         print(f"{name:20} {count:7} {digest}")
 
 

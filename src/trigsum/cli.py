@@ -218,7 +218,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"status: {report.status}")
     else:
         print(repr(closed))
-    return 0
+    # a comparison the command itself reports as failed is a verification failure
+    return 3 if report is not None and report.status == "fail" else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

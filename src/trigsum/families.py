@@ -163,10 +163,12 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
 # The family walk: the run of consecutive calls on one family, which is
 # how verify, table and the sweeps order their work. The walk caches (the
 # closed form's weights and slices, the residue path's cot/csc power and
-# kernels, the oracle's pole distance behind conditioning) keep their
-# tables for one walk and drop them when a call enters another family,
-# so a walk that starts on a family other than the last one called
-# starts cold: its work does not depend on what ran before it. A
+# kernels, the oracle's prefix and factor rows and its pole distance) keep
+# their tables for one walk and drop them when a call enters another
+# family, so a walk that starts on a family other than the last one called
+# starts cold: its work does not depend on what ran before it. The
+# oracle's sums only join a walk: they keep rows while their family is
+# the walk's (in_walk) and never enter one themselves. A
 # process-wide memo would let a run find the tables an earlier run built,
 # and its traced counts would not repeat. Concurrent callers on different
 # families only cost rebuilds; no value depends on the caches.
@@ -183,13 +185,21 @@ def walk_cache(maxsize: int | None = None):
     return decorate
 
 
-def enter_walk(family: Family) -> None:
-    """Continue the walk on family, or start a new one with every walk cache empty."""
+def enter_walk(family: Family | None) -> None:
+    """Continue the walk on family, or start a new one with every walk cache empty.
+
+    None ends the walk, so the next call on any family starts cold.
+    """
     global _walk
     if family is not _walk:
         for cache in _WALK_CACHES:
             cache.cache_clear()
         _walk = family
+
+
+def in_walk(family: Family) -> bool:
+    """Whether the walk is on family, so a walk cache may keep its tables."""
+    return family is _walk
 
 
 def pole_order(family: Family, n: int) -> int:

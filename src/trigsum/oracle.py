@@ -17,28 +17,46 @@ Three numerical precautions make this path a usable arbiter:
 The singular factors go through the pole-guarded trig helpers and raise
 "singular term" if any argument sits within 1e-12 radians of a pole.
 
-The sums and term_magnitude_sum run the term loop on every call. The
-conditioning probe, the distance from the term arguments to the poles,
-depends on neither m nor n, so it is kept for the family walk
-(families.enter_walk): verify asks for it once per case, and a sweep
-over m and n scans the d arguments once per (d, b, b2).
+Each term is a prefix row entry times the factor rows' entries, and
+both kinds of row are kept for the family walk (families.enter_walk).
+A prefix row depends on the prefix, its frequency (m or 2m), d and the
+index range; the singular factors, taken at the first power, depend
+only on (family, d, b, b2). So a sweep over m and n evaluates the
+factors d times per (d, b, b2), and the prefixes d times per (d, m).
+The sums form prefix * factor ** p, or (prefix * first) * second for
+the product families, with the float operations of the plain term
+loop in its order, so cold and warm calls give the same bits. The sums
+keep rows only while the walk is on their family; they never enter a
+walk themselves.
+
+The conditioning probe, the distance from the term arguments to the
+poles, depends on neither m nor n either: verify asks for it once per
+case, and a sweep scans the d arguments once per (d, b, b2). It enters
+the walk, and where no argument is within 1e-12 radians of a pole, its
+scan also builds the factor rows, so in verify's order the sums only
+read them.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
 
+from .errors import NumericError
 from .families import (
     TRAITS,
     Family,
     SumSpec,
     SumValue,
     enter_walk,
+    in_walk,
     pole_order,
     validate_params,
     walk_cache,
 )
 from .trig import (
+    POLE_TOL,
     cos_pi,
     cos_pi_ratio,
     cot_pi,
@@ -51,11 +69,12 @@ from .trig import (
     tan_pi,
 )
 
-_SECOND_FACTOR = {"cos": cos_pi, "sin": sin_pi, "csc": csc_pi, "sec": sec_pi}
+_FACTOR = {"cot": cot_pi, "csc": csc_pi, "tan": tan_pi, "sec": sec_pi, "cos": cos_pi, "sin": sin_pi}
 
-# pole distances kept warm; verify's order keeps len(offsets) of them in
-# use across one (family, d)
+# rows and pole distances kept warm; verify's order uses len(offsets) pole
+# distances and factor rows across one (family, d), and one prefix row per m
 DISTANCE_CACHE_SIZE = 64
+ROW_CACHE_SIZE = 64
 
 
 def _reduced_shift(beta: float, period: int) -> float:
@@ -70,31 +89,65 @@ def _index_range(family: Family, d: int) -> range:
     return range(start, stop)
 
 
+@walk_cache(ROW_CACHE_SIZE)
+def _prefix_row(prefix: str, num: int, d: int, start: int, stop: int) -> list[float]:
+    """cos or sin(pi num j / d) for j in range(start, stop); callers only read it."""
+    ratio = cos_pi_ratio if prefix == "cos" else sin_pi_ratio
+    return [ratio(num * j, d) for j in range(start, stop)]
+
+
+@walk_cache(ROW_CACHE_SIZE)
+def _factor_rows(family: Family, d: int, b: float, b2: float | None) -> tuple[list[float], ...]:
+    """Each factor after the prefix, at the first power, over the index range.
+
+    One row per factor: the singular factor on b, and for the product
+    families the factor on b2. Neither depends on m or n. Callers only
+    read the rows.
+    """
+    traits = TRAITS[family]
+    indices = _index_range(family, d)
+    beta = _reduced_shift(b, traits.shift_period)
+    first = _FACTOR[traits.shift_kind]
+    if traits.kind != "triple":
+        den = 2 * d if traits.kind == "double" else d
+        return ([first(j / den + beta) for j in indices],)
+    assert b2 is not None
+    beta2 = _reduced_shift(b2, traits.shift_period)
+    second = _FACTOR[traits.second_kind]
+    try:
+        return [first(j / d + beta) for j in indices], [second(j / d + beta2) for j in indices]
+    except NumericError:
+        # raise for the first term that fails, taking its factors in order
+        for j in indices:
+            first(j / d + beta)
+            second(j / d + beta2)
+        raise
+
+
 def _terms(spec: SumSpec):
+    """The defining terms of a validated spec, in index order.
+
+    The rows come from the walk caches only while the walk is on the
+    spec's family (conditioning enters it, and verify calls conditioning
+    first). Otherwise they are built for this call alone: a sum never
+    moves the walk, so it never drops the tables the walk keeps for the
+    other paths.
+    """
     traits = TRAITS[spec.family]
-    d, m = spec.d, spec.m
-    beta = _reduced_shift(spec.b, traits.shift_period)
-    prefix_num = m if traits.odd_m else 2 * m
-    prefix = cos_pi_ratio if traits.prefix == "cos" else sin_pi_ratio
-    if traits.kind == "power":
-        power = pole_order(spec.family, spec.n)
-        factor = cot_pi if traits.shift_kind == "cot" else csc_pi
-        for j in _index_range(spec.family, d):
-            yield prefix(prefix_num * j, d) * factor(j / d + beta) ** power
-    elif traits.kind == "tangent":
-        for j in _index_range(spec.family, d):
-            yield prefix(prefix_num * j, d) * tan_pi(j / d + beta)
-    elif traits.kind == "double":
-        den = 2 * d
-        for j in _index_range(spec.family, d):
-            yield prefix(prefix_num * j, d) * cot_pi(j / den + beta)
+    d = spec.d
+    stop = 2 * d if traits.kind == "double" else d
+    if in_walk(spec.family):
+        prefix_row, factor_rows = _prefix_row, _factor_rows
     else:
-        assert spec.b2 is not None
-        beta2 = _reduced_shift(spec.b2, traits.shift_period)
-        first = csc_pi if traits.shift_kind == "csc" else sec_pi
-        second = _SECOND_FACTOR[traits.second_kind]
-        for j in _index_range(spec.family, d):
-            yield prefix(prefix_num * j, d) * first(j / d + beta) * second(j / d + beta2)
+        prefix_row, factor_rows = _prefix_row.__wrapped__, _factor_rows.__wrapped__
+    prefix = prefix_row(traits.prefix, spec.m if traits.odd_m else 2 * spec.m, d,
+                        traits.oracle_start, stop)
+    rows = factor_rows(spec.family, d, spec.b, spec.b2)
+    if traits.kind == "power":
+        return map(mul, prefix, map(pow, rows[0], repeat(pole_order(spec.family, spec.n))))
+    if traits.kind == "triple":
+        return map(mul, map(mul, prefix, rows[0]), rows[1])
+    return map(mul, prefix, rows[0])
 
 
 def direct_sum(spec: SumSpec) -> SumValue:
@@ -113,7 +166,7 @@ def direct_sum(spec: SumSpec) -> SumValue:
 def term_magnitude_sum(spec: SumSpec) -> float:
     """Sum of |term| over the defining range; the cancellation yardstick."""
     spec = validate_params(spec)
-    return math.fsum(abs(t) for t in _terms(spec))
+    return math.fsum(map(abs, _terms(spec)))
 
 
 def conditioning(spec: SumSpec) -> float:
@@ -154,4 +207,8 @@ def _pole_distance(family: Family, d: int, b: float, b2: float | None) -> float:
     else:
         for j in _index_range(family, d):
             best = min(best, factor_dist(traits.shift_kind, j / d + beta))
-    return math.pi * best
+    best *= math.pi
+    if best > POLE_TOL:
+        # no factor raises: the sums will read these rows
+        _factor_rows(family, d, b, b2)
+    return best

@@ -1,11 +1,16 @@
 """The defining sums at 40 digits, the reference the tests hold every path to.
 
 Test modules import it by name: pytest puts this directory on the path.
+scripts/accuracy_scan.py imports it too, so it needs only trigsum and
+mpmath. Without mpmath, reference_sum skips the test that calls it.
 """
 
-import pytest
-
 from trigsum import TRAITS, pole_order
+
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
 
 
 def prefix_vanishes(prefix, k, d):
@@ -21,7 +26,9 @@ def prefix_vanishes(prefix, k, d):
 
 def reference_sum(spec):
     """The defining sum at 40 digits, from the exact float shifts."""
-    mpmath = pytest.importorskip("mpmath")
+    if mpmath is None:
+        import pytest
+        pytest.skip("could not import 'mpmath'")
     traits = TRAITS[spec.family]
     fns = {"cot": mpmath.cot, "csc": mpmath.csc, "tan": mpmath.tan, "sec": mpmath.sec,
            "cos": mpmath.cos, "sin": mpmath.sin}

@@ -65,6 +65,29 @@ def test_eval_all_paths_text(capsys):
     assert lines[-1] == "status: pass"
 
 
+@pytest.mark.parametrize("case, paths", [
+    # D2: a boundary pole nearly merges with the interior pole; closed and residue 0.38 off
+    (["--family", "cos-csc-2n", "--n", "4", "--d", "52", "--m", "13", "--b", repr(0.5 / 52 + 0.01)],
+     ["closed", "oracle", "residue"]),
+    # D9: b2 close to b + 1/2; the closed form is 2.7e-8 off the oracle
+    (["--family", "sin-csc-sec", "--d", "33", "--m", "12", "--b", "7.41389488289057e-05",
+      "--b2", "0.4999372138948829"], ["closed", "oracle"]),
+])
+def test_eval_all_paths_exits_3_on_a_failed_comparison(capsys, case, paths):
+    code, out, _ = run(capsys, ["eval", *case, "--all-paths"])
+    assert code == 3
+    lines = out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == paths + ["abs_err", "rel_err",
+                                                              "conditioning", "status"]
+    assert lines[-1] == "status: fail"
+    code, out, _ = run(capsys, ["eval", *case, "--all-paths", "--json"])
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["status"] == "fail"
+    assert set(obj) == {"family", "n", "d", "m", "b", "b2", "value", "oracle", "residue",
+                        "abs_err", "rel_err", "conditioning", "status"}
+
+
 def test_eval_rejects_singular_shift(capsys):
     code, _, err = run(capsys, ["eval", "--family", "cos-cot", "--d", "4", "--m", "1", "--b", "0.25"])
     assert code == 2

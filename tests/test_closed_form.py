@@ -18,6 +18,7 @@ from trigsum import (
     direct_sum,
     pole_order,
     sum_via_residues,
+    term_magnitude_sum,
     theorem_sum,
     validate_params,
 )
@@ -31,7 +32,7 @@ from trigsum.closed_form import (
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
-from trigsum.oracle import _pole_distance
+from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row
 from trigsum.residue_engine import _kernels, _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
 
@@ -260,16 +261,18 @@ def test_walk_caches_hold_one_family():
                 _composition_weights.cache_info().currsize,
                 _singular_power.cache_info().currsize,
                 _kernels.cache_info().currsize,
-                _pole_distance.cache_info().currsize)
+                _pole_distance.cache_info().currsize,
+                _prefix_row.cache_info().currsize,
+                _factor_rows.cache_info().currsize)
 
     theorem_sum(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
     sum_via_residues(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 1, 1, 0)
+    assert sizes() == (1, 1, 1, 1, 0, 0, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0, 0, 0)
+    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
-    assert sizes() == (2, 2, 0, 0, 0)
+    assert sizes() == (2, 2, 0, 0, 0, 0, 0)
     # the weights depend only on (kind, n), so a new d or b reuses them
     built = _composition_weights.cache_info().misses
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
@@ -280,14 +283,28 @@ def test_walk_caches_hold_one_family():
     sum_via_residues(SumSpec(Family.COS_COT, 8, 5, 0.137, 2))
     conditioning(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
     conditioning(SumSpec(Family.COS_COT, 8, 1, 0.137, 3))
-    assert sizes() == (4, 2, 1, 1, 1)
+    # conditioning builds the oracle's factor rows for (d, b) along with the distance
+    assert sizes() == (4, 2, 1, 1, 1, 0, 1)
+    # a new m reuses the factor rows; a new b or n reuses the prefix row of (d, m)
+    direct_sum(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
+    direct_sum(SumSpec(Family.COS_COT, 8, 5, 0.137, 2))
+    assert sizes() == (4, 2, 1, 1, 1, 2, 1)
+    term_magnitude_sum(SumSpec(Family.COS_COT, 8, 5, 0.2, 3))
+    assert sizes() == (4, 2, 1, 1, 1, 2, 2)
+    assert _factor_rows.cache_info().misses == 2 and _prefix_row.cache_info().misses == 2
     # a product family walks as itself, not as the cot family its residue uses
     sum_via_residues(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1, 1, 0)
+    assert sizes() == (0, 0, 1, 1, 0, 0, 0)
     conditioning(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1, 1, 1)
+    assert sizes() == (0, 0, 1, 1, 1, 0, 1)
+    direct_sum(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
+    assert sizes() == (0, 0, 1, 1, 1, 1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0, 0, 0)
+    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
+    # the oracle's sums never move the walk: off it they keep no rows and drop nothing
+    direct_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
+    term_magnitude_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
+    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
 
 
 def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):

@@ -1,19 +1,24 @@
 """Direct-summation oracle: term layout, compensation, conditioning."""
 
 import math
+import re
 
 import pytest
 
 from trigsum import (
+    TRAITS,
     Family,
     SumSpec,
     conditioning,
     direct_sum,
+    pole_order,
     term_magnitude_sum,
 )
 from trigsum.errors import NumericError, ParameterError
-from trigsum.oracle import _pole_distance, _terms
-from trigsum.trig import cos_pi_ratio, cot_pi, csc_pi, sec_pi, tan_pi
+from trigsum.families import enter_walk, in_walk
+from trigsum.oracle import ROW_CACHE_SIZE, _factor_rows, _pole_distance, _prefix_row, _terms
+from trigsum.trig import (cos_pi, cos_pi_ratio, cot_pi, csc_pi, sec_pi, sin_pi, sin_pi_ratio,
+                          tan_pi)
 
 from mp_reference import reference_sum
 
@@ -155,3 +160,118 @@ def test_term_magnitude_sum_manual():
     # so the magnitudes dwarf the signed sum
     spec = SumSpec(Family.COS_CSC_2N, 8, 4, 0.4375, 2)
     assert term_magnitude_sum(spec) > 100 * abs(direct_sum(spec).value)
+
+
+def loop_terms(spec):
+    """The defining terms, each formed on its own: the reference for the oracle's rows."""
+    traits = TRAITS[spec.family]
+    fns = {"cot": cot_pi, "csc": csc_pi, "tan": tan_pi, "sec": sec_pi, "cos": cos_pi,
+           "sin": sin_pi}
+    d = spec.d
+    prefix = cos_pi_ratio if traits.prefix == "cos" else sin_pi_ratio
+    num = spec.m if traits.odd_m else 2 * spec.m
+    den = 2 * d if traits.kind == "double" else d
+    beta = math.remainder(spec.b, traits.shift_period)
+    power = pole_order(spec.family, spec.n) if traits.kind == "power" else None
+    for j in range(traits.oracle_start, den):
+        factor = fns[traits.shift_kind](j / den + beta)
+        term = prefix(num * j, d) * (factor if power is None else factor ** power)
+        if traits.kind == "triple":
+            term *= fns[traits.second_kind](j / d + math.remainder(spec.b2, traits.shift_period))
+        yield term
+
+
+def kahan(terms) -> float:
+    acc = comp = 0.0
+    for term in terms:
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return acc + 0.0
+
+
+def oracle_bits(spec):
+    return direct_sum(spec).value.hex(), term_magnitude_sum(spec).hex()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_rows_cold_and_warm_give_the_same_bits(family):
+    traits = TRAITS[family]
+    specs = []
+    for d in (4, 7):
+        for m in range(1, d, 2 if traits.odd_m else 1):
+            for b in (0.137, 0.2500001, 1e9 + 0.3):
+                for n in ((1, 2) if traits.supports_power else (1,)):
+                    b2 = b + 0.31 if traits.kind == "triple" else None
+                    spec = SumSpec(family, d, m, b, n, b2)
+                    try:
+                        specs.append((spec, direct_sum(spec)))
+                    except ParameterError:
+                        pass
+    assert specs
+    for spec, _ in specs:
+        want = (kahan(loop_terms(spec)).hex(), math.fsum(map(abs, loop_terms(spec))).hex())
+        # off the walk, rows built for the call alone
+        enter_walk(None)
+        assert oracle_bits(spec) == want, spec
+        # on the walk with every walk cache empty
+        enter_walk(family)
+        assert oracle_bits(spec) == want, spec
+        # after a sweep over m and n has filled the caches
+        for other, _ in specs:
+            oracle_bits(other)
+        assert oracle_bits(spec) == want, spec
+
+
+def test_a_sweep_over_m_and_n_reuses_the_rows():
+    specs = [SumSpec(Family.COS_CSC_2N, 9, m, b, n) for b in (0.137, 0.41) for m in range(1, 9)
+             for n in (1, 2, 3)]
+    # off the walk, the sums keep nothing and leave the walk where it was
+    enter_walk(None)
+    direct_sum(specs[0])
+    term_magnitude_sum(specs[0])
+    assert _factor_rows.cache_info().currsize == _prefix_row.cache_info().currsize == 0
+    assert not in_walk(Family.COS_CSC_2N)
+    enter_walk(Family.COS_CSC_2N)
+    for spec in specs:
+        direct_sum(spec)
+        term_magnitude_sum(spec)
+    # one factor row per (d, b), one prefix row per (d, m)
+    assert _factor_rows.cache_info().misses == 2
+    assert _prefix_row.cache_info().misses == 8
+    # in verify's order, conditioning has built the factor rows before the sum reads them
+    enter_walk(None)
+    for spec in specs:
+        conditioning(spec)
+        direct_sum(spec)
+    assert _factor_rows.cache_info().misses == 2
+    assert _factor_rows.cache_info().hits == len(specs)
+
+
+def test_row_caches_are_bounded():
+    enter_walk(Family.COS_COT)
+    for k in range(ROW_CACHE_SIZE + 12):
+        direct_sum(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000))
+        direct_sum(SumSpec(Family.COS_COT, 2 + k, 1, 0.01))
+    assert _factor_rows.cache_info().currsize == ROW_CACHE_SIZE
+    assert _prefix_row.cache_info().currsize == ROW_CACHE_SIZE
+
+
+@pytest.mark.parametrize("family, b, b2", [
+    # the j = 0 argument b is 7.5e-13 radians from the pole at 0, yet d*b = 1.2e-8
+    (Family.COS_COT, 1.2e-8 / 50000, None),
+    # the factor on b2 fails at j = 0, before the one on b fails at j = 10
+    (Family.COS_CSC_CSC, 1.0 - 10 / 50000 + 2.4e-13, 1.2e-8 / 50000),
+])
+def test_a_valid_spec_with_an_argument_inside_the_pole_guard(family, b, b2):
+    spec = SumSpec(family, 50000, 1, b, 1, b2)
+    cond = conditioning(spec)
+    assert 0.0 < cond <= 1e-12
+    with pytest.raises(NumericError) as want:
+        sum(loop_terms(spec))
+    assert f"argument {b2 or b!r} (half turns)" in str(want.value)
+    for fn in (direct_sum, term_magnitude_sum):
+        with pytest.raises(NumericError, match=re.escape(str(want.value))):
+            fn(spec)
+    assert conditioning(spec) == cond
