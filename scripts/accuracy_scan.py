@@ -15,8 +15,9 @@ The error of a value is |value - ref| / max(1, |ref|), verify's scale, with
 ref from tests/mp_reference.py. For each path, family and n it prints how
 many cases fall in each decade of error ("e-14:7" is 7 cases in
 [1e-14, 1e-13); "0" counts exact values), then each path's worst case. A
-path that raises is counted under "raised". Exits 1 when a path's worst
-error exceeds --bound.
+path that raises is counted under "raised"; an inf or nan value is counted
+under "nonfinite" and is that path's worst case, above any bound. Exits 1
+when a path's worst error exceeds --bound.
 """
 
 import argparse
@@ -108,14 +109,20 @@ def scan(specs, paths, reference_sum):
                 histogram[key]["raised"] += 1
                 continue
             err = abs(value - ref) / max(1.0, abs(ref))
-            histogram[key][decade(err)] += 1
+            if math.isfinite(err):
+                histogram[key][decade(err)] += 1
+            else:
+                histogram[key]["nonfinite"] += 1
+                err = math.inf
             if path not in worst or err > worst[path][0]:
                 worst[path] = (err, spec)
     return histogram, worst
 
 
 def _order(label: str):
-    return (1, 0) if label == "raised" else (0, -99 if label == "0" else int(label[1:]))
+    if label in ("nonfinite", "raised"):
+        return (1, label)
+    return (0, -99 if label == "0" else int(label[1:]))
 
 
 def main(argv=None) -> int:

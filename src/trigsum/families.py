@@ -167,8 +167,8 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
 # their tables for one walk and drop them when a call enters another
 # family, so a walk that starts on a family other than the last one called
 # starts cold: its work does not depend on what ran before it. The
-# oracle's sums only join a walk: they keep rows while their family is
-# the walk's (in_walk) and never enter one themselves. A
+# oracle's sums never enter a walk; the rows they build are keyed by
+# family (or need none) and go at the next change of family. A
 # process-wide memo would let a run find the tables an earlier run built,
 # and its traced counts would not repeat. Concurrent callers on different
 # families only cost rebuilds; no value depends on the caches.
@@ -195,11 +195,6 @@ def enter_walk(family: Family | None) -> None:
         for cache in _WALK_CACHES:
             cache.cache_clear()
         _walk = family
-
-
-def in_walk(family: Family) -> bool:
-    """Whether the walk is on family, so a walk cache may keep its tables."""
-    return family is _walk
 
 
 def pole_order(family: Family, n: int) -> int:

@@ -26,8 +26,10 @@ factors d times per (d, b, b2), and the prefixes d times per (d, m).
 The sums form prefix * factor ** p, or (prefix * first) * second for
 the product families, with the float operations of the plain term
 loop in its order, so cold and warm calls give the same bits. The sums
-keep rows only while the walk is on their family; they never enter a
-walk themselves.
+never enter a walk themselves: a row they build is keyed by its family
+(or by no family at all, for a prefix row), so it stays correct until
+the next change of family drops it. Each cache keeps at most 64 rows
+of d or 2d floats, so a walk at large d holds O(64 d) floats per cache.
 
 The conditioning probe, the distance from the term arguments to the
 poles, depends on neither m nor n either: verify asks for it once per
@@ -50,7 +52,6 @@ from .families import (
     SumSpec,
     SumValue,
     enter_walk,
-    in_walk,
     pole_order,
     validate_params,
     walk_cache,
@@ -71,10 +72,9 @@ from .trig import (
 
 _FACTOR = {"cot": cot_pi, "csc": csc_pi, "tan": tan_pi, "sec": sec_pi, "cos": cos_pi, "sin": sin_pi}
 
-# rows and pole distances kept warm; verify's order uses len(offsets) pole
+# pole distances and rows kept warm; verify's order uses len(offsets) pole
 # distances and factor rows across one (family, d), and one prefix row per m
-DISTANCE_CACHE_SIZE = 64
-ROW_CACHE_SIZE = 64
+WALK_CACHE_SIZE = 64
 
 
 def _reduced_shift(beta: float, period: int) -> float:
@@ -89,14 +89,14 @@ def _index_range(family: Family, d: int) -> range:
     return range(start, stop)
 
 
-@walk_cache(ROW_CACHE_SIZE)
+@walk_cache(WALK_CACHE_SIZE)
 def _prefix_row(prefix: str, num: int, d: int, start: int, stop: int) -> list[float]:
     """cos or sin(pi num j / d) for j in range(start, stop); callers only read it."""
     ratio = cos_pi_ratio if prefix == "cos" else sin_pi_ratio
     return [ratio(num * j, d) for j in range(start, stop)]
 
 
-@walk_cache(ROW_CACHE_SIZE)
+@walk_cache(WALK_CACHE_SIZE)
 def _factor_rows(family: Family, d: int, b: float, b2: float | None) -> tuple[list[float], ...]:
     """Each factor after the prefix, at the first power, over the index range.
 
@@ -125,24 +125,13 @@ def _factor_rows(family: Family, d: int, b: float, b2: float | None) -> tuple[li
 
 
 def _terms(spec: SumSpec):
-    """The defining terms of a validated spec, in index order.
-
-    The rows come from the walk caches only while the walk is on the
-    spec's family (conditioning enters it, and verify calls conditioning
-    first). Otherwise they are built for this call alone: a sum never
-    moves the walk, so it never drops the tables the walk keeps for the
-    other paths.
-    """
+    """The defining terms of a validated spec, in index order."""
     traits = TRAITS[spec.family]
     d = spec.d
     stop = 2 * d if traits.kind == "double" else d
-    if in_walk(spec.family):
-        prefix_row, factor_rows = _prefix_row, _factor_rows
-    else:
-        prefix_row, factor_rows = _prefix_row.__wrapped__, _factor_rows.__wrapped__
-    prefix = prefix_row(traits.prefix, spec.m if traits.odd_m else 2 * spec.m, d,
-                        traits.oracle_start, stop)
-    rows = factor_rows(spec.family, d, spec.b, spec.b2)
+    prefix = _prefix_row(traits.prefix, spec.m if traits.odd_m else 2 * spec.m, d,
+                         traits.oracle_start, stop)
+    rows = _factor_rows(spec.family, d, spec.b, spec.b2)
     if traits.kind == "power":
         return map(mul, prefix, map(pow, rows[0], repeat(pole_order(spec.family, spec.n))))
     if traits.kind == "triple":
@@ -181,7 +170,7 @@ def conditioning(spec: SumSpec) -> float:
     return _pole_distance(spec.family, spec.d, spec.b, spec.b2)
 
 
-@walk_cache(DISTANCE_CACHE_SIZE)
+@walk_cache(WALK_CACHE_SIZE)
 def _pole_distance(family: Family, d: int, b: float, b2: float | None) -> float:
     """conditioning of a valid spec: it depends on neither m nor n."""
     traits = TRAITS[family]

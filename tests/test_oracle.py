@@ -15,8 +15,8 @@ from trigsum import (
     term_magnitude_sum,
 )
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import enter_walk, in_walk
-from trigsum.oracle import ROW_CACHE_SIZE, _factor_rows, _pole_distance, _prefix_row, _terms
+from trigsum.families import enter_walk
+from trigsum.oracle import WALK_CACHE_SIZE, _factor_rows, _pole_distance, _prefix_row, _terms
 from trigsum.trig import (cos_pi, cos_pi_ratio, cot_pi, csc_pi, sec_pi, sin_pi, sin_pi_ratio,
                           tan_pi)
 
@@ -212,10 +212,10 @@ def test_rows_cold_and_warm_give_the_same_bits(family):
     assert specs
     for spec, _ in specs:
         want = (kahan(loop_terms(spec)).hex(), math.fsum(map(abs, loop_terms(spec))).hex())
-        # off the walk, rows built for the call alone
+        # with the walk ended and every walk cache empty
         enter_walk(None)
         assert oracle_bits(spec) == want, spec
-        # on the walk with every walk cache empty
+        # on the walk with every walk cache empty again
         enter_walk(family)
         assert oracle_bits(spec) == want, spec
         # after a sweep over m and n has filled the caches
@@ -227,12 +227,6 @@ def test_rows_cold_and_warm_give_the_same_bits(family):
 def test_a_sweep_over_m_and_n_reuses_the_rows():
     specs = [SumSpec(Family.COS_CSC_2N, 9, m, b, n) for b in (0.137, 0.41) for m in range(1, 9)
              for n in (1, 2, 3)]
-    # off the walk, the sums keep nothing and leave the walk where it was
-    enter_walk(None)
-    direct_sum(specs[0])
-    term_magnitude_sum(specs[0])
-    assert _factor_rows.cache_info().currsize == _prefix_row.cache_info().currsize == 0
-    assert not in_walk(Family.COS_CSC_2N)
     enter_walk(Family.COS_CSC_2N)
     for spec in specs:
         direct_sum(spec)
@@ -251,11 +245,11 @@ def test_a_sweep_over_m_and_n_reuses_the_rows():
 
 def test_row_caches_are_bounded():
     enter_walk(Family.COS_COT)
-    for k in range(ROW_CACHE_SIZE + 12):
+    for k in range(WALK_CACHE_SIZE + 12):
         direct_sum(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000))
         direct_sum(SumSpec(Family.COS_COT, 2 + k, 1, 0.01))
-    assert _factor_rows.cache_info().currsize == ROW_CACHE_SIZE
-    assert _prefix_row.cache_info().currsize == ROW_CACHE_SIZE
+    assert _factor_rows.cache_info().currsize == WALK_CACHE_SIZE
+    assert _prefix_row.cache_info().currsize == WALK_CACHE_SIZE
 
 
 @pytest.mark.parametrize("family, b, b2", [

@@ -1,10 +1,13 @@
 """Smoke runs of the scripts that check values: the bit digests and the accuracy scan."""
 
+import math
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from trigsum import SumValue
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,6 +34,18 @@ def test_accuracy_scan_on_the_oracle(capsys):
     # a bound no float path meets fails the scan
     assert main(["--dmax", "6", "--nmax", "2", "--every", "40", "--draws", "4",
                  "--paths", "oracle", "--bound", "1e-300"]) == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_accuracy_scan_counts_a_nonfinite_value_above_the_bound(capsys, monkeypatch, bad):
+    pytest.importorskip("mpmath")
+    scan = runpy.run_path(str(SCRIPTS / "accuracy_scan.py"))
+    monkeypatch.setitem(scan["PATH_FUNCTIONS"], "oracle", lambda spec: SumValue(bad, 0.0, "oracle"))
+    assert scan["main"](["--dmax", "4", "--nmax", "1", "--every", "40", "--draws", "1",
+                         "--paths", "oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(" nonfinite:" + line.split()[3]) for line in lines[1:-1])
+    assert lines[-1].startswith("worst oracle: inf above bound 1e-08")
 
 
 def test_accuracy_scan_refuses_to_run_without_mpmath(capsys, monkeypatch):
