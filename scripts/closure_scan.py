@@ -42,13 +42,13 @@ def sample_spec(rng: random.Random, dmax: int, nmax: int) -> SumSpec | None:
     return SumSpec(family, d, m, rng.uniform(0.03, 0.97), n, b2)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=int, default=500)
     parser.add_argument("--dmax", type=int, default=12)
     parser.add_argument("--nmax", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     results = []

@@ -34,7 +34,10 @@ CONDITIONING_FLOOR = 0.01
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    """The --tol flag, else TRIGSUM_TOL, else the default; either must be positive."""
+    """The --tol flag, else TRIGSUM_TOL, else the default; either must be finite and positive.
+
+    An infinite tolerance would pass every comparison.
+    """
     if args.tol is not None:
         value, source = args.tol, "--tol"
     else:
@@ -48,6 +51,8 @@ def _tolerance(args: argparse.Namespace) -> float:
         source = TOL_ENV
     if not value > 0.0:
         raise ParameterError(f"{source} must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise ParameterError(f"{source} must be finite, got {value!r}")
     return value
 
 
@@ -168,10 +173,14 @@ def grid_cases(
 
 
 def _parse_paths(raw: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in raw.split(",") if p.strip())
-    bad = [p for p in names if p not in PATH_NAMES]
-    if bad or not names:
-        raise ParameterError(f"unknown path selection {raw!r}; choose from {','.join(PATH_NAMES)}")
+    """The distinct paths of a comma list; fewer than two would compare nothing."""
+    names = tuple(dict.fromkeys(p.strip() for p in raw.split(",") if p.strip()))
+    choices = ",".join(PATH_NAMES)
+    if not names or any(p not in PATH_NAMES for p in names):
+        raise ParameterError(f"unknown path selection {raw!r}; choose from {choices}")
+    if len(names) < 2:
+        raise ParameterError(
+            f"path selection {raw!r} compares nothing; choose two or three of {choices}")
     return names
 
 

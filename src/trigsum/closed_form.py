@@ -57,6 +57,7 @@ from .coefficients import apostol_coeff_table, check_index
 from .errors import ParameterError
 from .families import (
     TRAITS,
+    WALK_CACHE_SIZE,
     Family,
     FamilyTraits,
     SumSpec,
@@ -74,10 +75,6 @@ from .multiindex import cot_coeff_product, csc_coeff_product, enumerate_composit
 from .trig import QUARTER_TURNS, cos_pi, csc_pi, phase, quarter_turns, sin_pi
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-# theorem_sum slices kept warm; verify's order keeps len(offsets) * nmax
-# of them in use across one (family, d)
-SLICE_CACHE_SIZE = 64
 
 
 def _real_value(x: float) -> SumValue:
@@ -164,7 +161,7 @@ def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...
     return tuple((mu, nu, float(w)) for (mu, nu), w in weights.items())
 
 
-@walk_cache(SLICE_CACHE_SIZE)
+@walk_cache(WALK_CACHE_SIZE)
 def _power_slice(
     family: Family, d: int, b: float, n: int
 ) -> tuple[tuple[int, complex, complex], ...]:

@@ -73,36 +73,41 @@ class FamilyTraits:
     supports_residue: bool      # covered by the residue engine
 
 
-def _t(prefix, kind, shift, second=None, odd_m=False, period=1, start=None,
-       power=False, residue=False) -> FamilyTraits:
+def _t(prefix, kind, shift, second=None, odd_m=False, start=None) -> FamilyTraits:
     if start is None:
         start = 0 if prefix == "cos" else 1
+    # the half-turn prefix and the product factors repeat only after 2 in b
+    period = 2 if odd_m or kind == "triple" else 1
+    power = kind == "power"
+    # the residue engine takes the power families, and a csc x cos/sin
+    # product through its identity onto the first-power cot sum
+    residue = power or (shift == "csc" and second in ("cos", "sin"))
     return FamilyTraits(prefix, kind, shift, second, odd_m, period, start, power, residue)
 
 
 TRAITS: dict[Family, FamilyTraits] = {
-    Family.COS_COT: _t("cos", "power", "cot", power=True, residue=True),
-    Family.SIN_COT: _t("sin", "power", "cot", power=True, residue=True),
-    Family.SIN_CSC_2N: _t("sin", "power", "csc", power=True, residue=True),
-    Family.COS_CSC_2N: _t("cos", "power", "csc", power=True, residue=True),
-    Family.SIN_CSC_ODD: _t("sin", "power", "csc", odd_m=True, period=2, power=True, residue=True),
-    Family.COS_CSC_ODD: _t("cos", "power", "csc", odd_m=True, period=2, power=True, residue=True),
+    Family.COS_COT: _t("cos", "power", "cot"),
+    Family.SIN_COT: _t("sin", "power", "cot"),
+    Family.SIN_CSC_2N: _t("sin", "power", "csc"),
+    Family.COS_CSC_2N: _t("cos", "power", "csc"),
+    Family.SIN_CSC_ODD: _t("sin", "power", "csc", odd_m=True),
+    Family.COS_CSC_ODD: _t("cos", "power", "csc", odd_m=True),
     Family.COS_TAN: _t("cos", "tangent", "tan"),
     Family.SIN_TAN: _t("sin", "tangent", "tan"),
     Family.COS_COT_2D: _t("cos", "double", "cot"),
     Family.SIN_COT_2D: _t("sin", "double", "cot"),
-    Family.COS_CSC_COS: _t("cos", "triple", "csc", "cos", period=2, residue=True),
-    Family.COS_CSC_SIN: _t("cos", "triple", "csc", "sin", period=2, residue=True),
-    Family.COS_SEC_COS: _t("cos", "triple", "sec", "cos", period=2),
-    Family.COS_SEC_SIN: _t("cos", "triple", "sec", "sin", period=2),
-    Family.SIN_CSC_COS: _t("sin", "triple", "csc", "cos", period=2, residue=True),
-    Family.SIN_CSC_SIN: _t("sin", "triple", "csc", "sin", period=2, residue=True),
-    Family.COS_CSC_CSC: _t("cos", "triple", "csc", "csc", period=2),
-    Family.COS_CSC_SEC: _t("cos", "triple", "csc", "sec", period=2),
-    Family.COS_SEC_SEC: _t("cos", "triple", "sec", "sec", period=2),
-    Family.SIN_CSC_CSC: _t("sin", "triple", "csc", "csc", period=2),
-    Family.SIN_CSC_SEC: _t("sin", "triple", "csc", "sec", period=2),
-    Family.SIN_SEC_SEC: _t("sin", "triple", "sec", "sec", period=2, start=0),
+    Family.COS_CSC_COS: _t("cos", "triple", "csc", "cos"),
+    Family.COS_CSC_SIN: _t("cos", "triple", "csc", "sin"),
+    Family.COS_SEC_COS: _t("cos", "triple", "sec", "cos"),
+    Family.COS_SEC_SIN: _t("cos", "triple", "sec", "sin"),
+    Family.SIN_CSC_COS: _t("sin", "triple", "csc", "cos"),
+    Family.SIN_CSC_SIN: _t("sin", "triple", "csc", "sin"),
+    Family.COS_CSC_CSC: _t("cos", "triple", "csc", "csc"),
+    Family.COS_CSC_SEC: _t("cos", "triple", "csc", "sec"),
+    Family.COS_SEC_SEC: _t("cos", "triple", "sec", "sec"),
+    Family.SIN_CSC_CSC: _t("sin", "triple", "csc", "csc"),
+    Family.SIN_CSC_SEC: _t("sin", "triple", "csc", "sec"),
+    Family.SIN_SEC_SEC: _t("sin", "triple", "sec", "sec", start=0),
 }
 
 POWER_FAMILIES = tuple(f for f in Family if TRAITS[f].kind == "power")
@@ -174,6 +179,10 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
 # families only cost rebuilds; no value depends on the caches.
 _walk: Family | None = None
 _WALK_CACHES: list = []
+
+# the bound of every walk cache keyed by d or b: verify's order keeps
+# len(offsets) * nmax entries in use across one (family, d)
+WALK_CACHE_SIZE = 64
 
 
 def walk_cache(maxsize: int | None = None):

@@ -2,7 +2,9 @@
 
 Every family is summed term by term, straight off its definition:
 prefix factor times one or two singular factors, over the defining
-index range.
+index range. One shape per family (_SHAPE: the factor kinds and the
+span of the range, d or 2d) drives the terms and the pole distance
+alike; only the power families' pole order is a case of its own.
 Three numerical precautions make this path a usable arbiter:
 
 * compensated (error-tracked) accumulation, since cosec-power terms can
@@ -48,6 +50,7 @@ from operator import mul
 from .errors import NumericError
 from .families import (
     TRAITS,
+    WALK_CACHE_SIZE,
     Family,
     SumSpec,
     SumValue,
@@ -71,22 +74,20 @@ from .trig import (
 )
 
 _FACTOR = {"cot": cot_pi, "csc": csc_pi, "tan": tan_pi, "sec": sec_pi, "cos": cos_pi, "sin": sin_pi}
+# distance, in half turns, from a singular factor's argument to its poles
+_POLE_DIST = {"cot": dist_to_int, "csc": dist_to_int, "tan": dist_to_half_odd,
+              "sec": dist_to_half_odd}
 
-# pole distances and rows kept warm; verify's order uses len(offsets) pole
-# distances and factor rows across one (family, d), and one prefix row per m
-WALK_CACHE_SIZE = 64
+# each family's shape: the factor kinds after the prefix, the first on b and
+# the second on b2, and the span s of its index range, so that term j takes
+# its factors at j / (s d) plus the reduced shift, for oracle_start <= j < s d
+_SHAPE = {family: ((t.shift_kind,) if t.second_kind is None else (t.shift_kind, t.second_kind),
+                   2 if t.kind == "double" else 1) for family, t in TRAITS.items()}
 
 
 def _reduced_shift(beta: float, period: int) -> float:
     # IEEE remainder is exact, so b and b + period reduce to the same float
     return math.remainder(beta, float(period))
-
-
-def _index_range(family: Family, d: int) -> range:
-    traits = TRAITS[family]
-    start = traits.oracle_start
-    stop = 2 * d if traits.kind == "double" else d
-    return range(start, stop)
 
 
 @walk_cache(WALK_CACHE_SIZE)
@@ -105,38 +106,32 @@ def _factor_rows(family: Family, d: int, b: float, b2: float | None) -> tuple[li
     read the rows.
     """
     traits = TRAITS[family]
-    indices = _index_range(family, d)
-    beta = _reduced_shift(b, traits.shift_period)
-    first = _FACTOR[traits.shift_kind]
-    if traits.kind != "triple":
-        den = 2 * d if traits.kind == "double" else d
-        return ([first(j / den + beta) for j in indices],)
-    assert b2 is not None
-    beta2 = _reduced_shift(b2, traits.shift_period)
-    second = _FACTOR[traits.second_kind]
+    kinds, span = _SHAPE[family]
+    den = span * d
+    indices = range(traits.oracle_start, den)
+    factors = [(_FACTOR[kind], _reduced_shift(beta, traits.shift_period))
+               for kind, beta in zip(kinds, (b, b2))]
     try:
-        return [first(j / d + beta) for j in indices], [second(j / d + beta2) for j in indices]
+        return tuple([fn(j / den + beta) for j in indices] for fn, beta in factors)
     except NumericError:
         # raise for the first term that fails, taking its factors in order
         for j in indices:
-            first(j / d + beta)
-            second(j / d + beta2)
+            for fn, beta in factors:
+                fn(j / den + beta)
         raise
 
 
 def _terms(spec: SumSpec):
     """The defining terms of a validated spec, in index order."""
     traits = TRAITS[spec.family]
-    d = spec.d
-    stop = 2 * d if traits.kind == "double" else d
-    prefix = _prefix_row(traits.prefix, spec.m if traits.odd_m else 2 * spec.m, d,
-                         traits.oracle_start, stop)
-    rows = _factor_rows(spec.family, d, spec.b, spec.b2)
+    terms = _prefix_row(traits.prefix, spec.m if traits.odd_m else 2 * spec.m, spec.d,
+                        traits.oracle_start, _SHAPE[spec.family][1] * spec.d)
+    rows = _factor_rows(spec.family, spec.d, spec.b, spec.b2)
     if traits.kind == "power":
-        return map(mul, prefix, map(pow, rows[0], repeat(pole_order(spec.family, spec.n))))
-    if traits.kind == "triple":
-        return map(mul, map(mul, prefix, rows[0]), rows[1])
-    return map(mul, prefix, rows[0])
+        rows = (map(pow, rows[0], repeat(pole_order(spec.family, spec.n))),)
+    for row in rows:
+        terms = map(mul, terms, row)
+    return terms
 
 
 def direct_sum(spec: SumSpec) -> SumValue:
@@ -174,28 +169,14 @@ def conditioning(spec: SumSpec) -> float:
 def _pole_distance(family: Family, d: int, b: float, b2: float | None) -> float:
     """conditioning of a valid spec: it depends on neither m nor n."""
     traits = TRAITS[family]
-    beta = _reduced_shift(b, traits.shift_period)
-
-    def factor_dist(kind: str, x: float) -> float:
-        if kind in ("cot", "csc"):
-            return dist_to_int(x)
-        return dist_to_half_odd(x)
-
+    kinds, span = _SHAPE[family]
+    den = span * d
     best = math.inf
-    if traits.kind == "triple":
-        assert b2 is not None
-        beta2 = _reduced_shift(b2, traits.shift_period)
-        for j in _index_range(family, d):
-            best = min(best, factor_dist(traits.shift_kind, j / d + beta))
-            if traits.second_kind in ("csc", "sec"):
-                best = min(best, factor_dist(traits.second_kind, j / d + beta2))
-    elif traits.kind == "double":
-        den = 2 * d
-        for j in _index_range(family, d):
-            best = min(best, factor_dist("cot", j / den + beta))
-    else:
-        for j in _index_range(family, d):
-            best = min(best, factor_dist(traits.shift_kind, j / d + beta))
+    for kind, beta in zip(kinds, (b, b2)):
+        dist = _POLE_DIST.get(kind)
+        if dist is not None:
+            beta = _reduced_shift(beta, traits.shift_period)
+            best = min(best, min(dist(j / den + beta) for j in range(traits.oracle_start, den)))
     best *= math.pi
     if best > POLE_TOL:
         # no factor raises: the sums will read these rows

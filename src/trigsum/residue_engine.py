@@ -38,6 +38,7 @@ from .coefficients import apostol_coeff_table, check_index, cot_coeff, csc_coeff
 from .errors import ParameterError
 from .families import (
     TRAITS,
+    WALK_CACHE_SIZE,
     Family,
     SumSpec,
     SumValue,
@@ -51,10 +52,6 @@ from .families import (
     walk_cache,
 )
 from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
-
-# kernels kept warm; verify's order keeps len(offsets) * nmax of them in
-# use across one (family, d)
-KERNEL_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ def _kernel(p: int, t: complex, scale: complex) -> tuple[complex, ...]:
     return tuple([table[k] * scale ** k / math.factorial(k) for k in range(p)])
 
 
-@walk_cache(KERNEL_CACHE_SIZE)
+@walk_cache(WALK_CACHE_SIZE)
 def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Both branches' kernels at (d, b), through w^(p-1).
 

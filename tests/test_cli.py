@@ -201,6 +201,14 @@ def test_verify_rejects_unknown_path(capsys):
     assert "path" in err
 
 
+@pytest.mark.parametrize("paths", ["closed", "closed,closed"])
+def test_verify_refuses_a_selection_that_compares_nothing(capsys, paths):
+    code, out, err = run(capsys, ["verify", "--dmax", "4", "--paths", paths])
+    assert (code, out) == (2, "")
+    assert f"path selection {paths!r} compares nothing" in err
+    assert "closed,oracle,residue" in err
+
+
 def test_verify_fails_under_impossible_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("TRIGSUM_TOL", "1e-30")
     code, out, _ = run(capsys, ["verify", "--dmax", "3", "--quiet"])
@@ -228,6 +236,22 @@ def test_non_positive_tolerance_is_a_usage_error(capsys, monkeypatch, tol):
     code, out, err = run(capsys, ["verify", "--dmax", "3", "--quiet"])
     assert (code, out) == (2, "")
     assert "TRIGSUM_TOL must be positive" in err
+
+
+def test_infinite_tolerance_is_a_usage_error(capsys, monkeypatch):
+    # an infinite tolerance would pass every comparison
+    verify = ["verify", "--dmax", "4", "--quiet"]
+    eval_all = ["eval", "--family", "cos-cot", "--d", "3", "--m", "1", "--b", "0.137",
+                "--all-paths"]
+    for argv in (verify, eval_all):
+        code, out, err = run(capsys, argv + ["--tol", "inf"])
+        assert (code, out) == (2, ""), argv
+        assert "--tol must be finite, got inf" in err
+    monkeypatch.setenv("TRIGSUM_TOL", "inf")
+    for argv in (verify, eval_all):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "TRIGSUM_TOL must be finite, got inf" in err
 
 
 def test_verify_prints_the_first_row_before_the_grid_is_built(capsys, monkeypatch):

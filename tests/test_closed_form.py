@@ -24,14 +24,11 @@ from trigsum import (
 )
 from trigsum import closed_form
 from trigsum.cli import grid_cases
-from trigsum.closed_form import (
-    SLICE_CACHE_SIZE,
-    _composition_weights,
-    _power_slice,
-)
+from trigsum.closed_form import _composition_weights, _power_slice
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
+from trigsum.families import WALK_CACHE_SIZE
 from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row
 from trigsum.residue_engine import _kernels, _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
@@ -250,9 +247,12 @@ def test_slice_cache_keeps_the_coefficient_cap(monkeypatch):
 
 
 def test_slice_cache_is_bounded():
-    for k in range(SLICE_CACHE_SIZE + 12):
-        theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000, 2))
-    assert _power_slice.cache_info().currsize == SLICE_CACHE_SIZE
+    for k in range(WALK_CACHE_SIZE + 12):
+        spec = SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000, 2)
+        theorem_sum(spec)
+        sum_via_residues(spec)
+    assert _power_slice.cache_info().currsize == WALK_CACHE_SIZE
+    assert _kernels.cache_info().currsize == WALK_CACHE_SIZE
 
 
 def test_walk_caches_hold_one_family():

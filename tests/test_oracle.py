@@ -13,10 +13,11 @@ from trigsum import (
     direct_sum,
     pole_order,
     term_magnitude_sum,
+    validate_params,
 )
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import enter_walk
-from trigsum.oracle import WALK_CACHE_SIZE, _factor_rows, _pole_distance, _prefix_row, _terms
+from trigsum.families import WALK_CACHE_SIZE, enter_walk
+from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row, _terms
 from trigsum.trig import (cos_pi, cos_pi_ratio, cot_pi, csc_pi, sec_pi, sin_pi, sin_pi_ratio,
                           tan_pi)
 
@@ -181,6 +182,24 @@ def loop_terms(spec):
         yield term
 
 
+def loop_distance(spec):
+    """The pole distance scanned term by term: the reference for the oracle's conditioning."""
+    traits = TRAITS[spec.family]
+    den = 2 * spec.d if traits.kind == "double" else spec.d
+    shifts = [(traits.shift_kind, spec.b)]
+    if traits.kind == "triple":
+        shifts.append((traits.second_kind, spec.b2))
+    best = math.inf
+    for j in range(traits.oracle_start, den):
+        for kind, b in shifts:
+            x = j / den + math.remainder(b, traits.shift_period)
+            if kind in ("cot", "csc"):
+                best = min(best, abs(math.remainder(x, 1.0)))
+            elif kind in ("tan", "sec"):
+                best = min(best, abs(math.remainder(x - 0.5, 1.0)))
+    return best * math.pi
+
+
 def kahan(terms) -> float:
     acc = comp = 0.0
     for term in terms:
@@ -195,8 +214,8 @@ def oracle_bits(spec):
     return direct_sum(spec).value.hex(), term_magnitude_sum(spec).hex()
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_rows_cold_and_warm_give_the_same_bits(family):
+def walk_specs(family):
+    """Valid specs over m, n and three shifts at d = 4 and 7, in verify's order."""
     traits = TRAITS[family]
     specs = []
     for d in (4, 7):
@@ -204,13 +223,18 @@ def test_rows_cold_and_warm_give_the_same_bits(family):
             for b in (0.137, 0.2500001, 1e9 + 0.3):
                 for n in ((1, 2) if traits.supports_power else (1,)):
                     b2 = b + 0.31 if traits.kind == "triple" else None
-                    spec = SumSpec(family, d, m, b, n, b2)
                     try:
-                        specs.append((spec, direct_sum(spec)))
+                        specs.append(validate_params(SumSpec(family, d, m, b, n, b2)))
                     except ParameterError:
                         pass
     assert specs
-    for spec, _ in specs:
+    return specs
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_rows_cold_and_warm_give_the_same_bits(family):
+    specs = walk_specs(family)
+    for spec in specs:
         want = (kahan(loop_terms(spec)).hex(), math.fsum(map(abs, loop_terms(spec))).hex())
         # with the walk ended and every walk cache empty
         enter_walk(None)
@@ -219,9 +243,24 @@ def test_rows_cold_and_warm_give_the_same_bits(family):
         enter_walk(family)
         assert oracle_bits(spec) == want, spec
         # after a sweep over m and n has filled the caches
-        for other, _ in specs:
+        for other in specs:
             oracle_bits(other)
         assert oracle_bits(spec) == want, spec
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_conditioning_cold_and_warm_equals_a_plain_scan(family):
+    specs = walk_specs(family)
+    for spec in specs:
+        want = loop_distance(spec).hex()
+        # with every walk cache empty
+        enter_walk(None)
+        assert conditioning(spec).hex() == want, spec
+        # after a sweep over m and n, and the sums, have filled the caches
+        for other in specs:
+            conditioning(other)
+            direct_sum(other)
+        assert conditioning(spec).hex() == want, spec
 
 
 def test_a_sweep_over_m_and_n_reuses_the_rows():
@@ -248,8 +287,10 @@ def test_row_caches_are_bounded():
     for k in range(WALK_CACHE_SIZE + 12):
         direct_sum(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000))
         direct_sum(SumSpec(Family.COS_COT, 2 + k, 1, 0.01))
+        conditioning(SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000))
     assert _factor_rows.cache_info().currsize == WALK_CACHE_SIZE
     assert _prefix_row.cache_info().currsize == WALK_CACHE_SIZE
+    assert _pole_distance.cache_info().currsize == WALK_CACHE_SIZE
 
 
 @pytest.mark.parametrize("family, b, b2", [

@@ -1,4 +1,4 @@
-"""Smoke runs of the scripts that check values: the bit digests and the accuracy scan."""
+"""Smoke runs of the scripts that check values: bit digests, accuracy scan, residue closure."""
 
 import math
 import runpy
@@ -53,3 +53,11 @@ def test_accuracy_scan_refuses_to_run_without_mpmath(capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "mpmath", None)
     assert main(["--paths", "oracle"]) == 2
     assert "mpmath is not installed" in capsys.readouterr().err
+
+
+def test_closure_scan_on_a_small_draw(capsys):
+    main = runpy.run_path(str(SCRIPTS / "closure_scan.py"))["main"]
+    assert main(["--cases", "40", "--dmax", "6", "--nmax", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "40 draws, dmax=6, nmax=2, seed=0"
+    assert lines[1] == "max residual ratio    5.656e-14"
