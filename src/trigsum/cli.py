@@ -299,7 +299,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     cap = coefficient_cap()
     if args.count < 1:
         raise ParameterError(f"empty listing: count must be at least 1, got {args.count}")
-    if args.count > cap:
+    # the rows are indices 0..count-1, so the last one may equal the cap
+    if args.count > cap + 1:
         raise ParameterError(
             f"coefficient cap exceeded: count {args.count} > cap {cap} "
             f"(raise TRIGSUM_COEFF_CAP to extend)"

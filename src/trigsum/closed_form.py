@@ -126,18 +126,19 @@ def _corollary(spec: SumSpec, b: float) -> SumValue:
         return _real_value(float(d - 2 * m))
     if traits.shift_kind == "cot":
         return _real_value(_cot_sum(traits.prefix, d, m, b, 0))
-    fam = spec.family
-    if fam is Family.SIN_CSC_2N:
-        return _real_value(
-            d * csc_pi((b - 1) * d) ** 2
-            * (m * sin_pi(2 * (b - 1) * (d - m)) - (d - m) * sin_pi(2 * (b - 1) * m))
-        )
-    if fam is Family.COS_CSC_2N:
+    # the four csc families: sin-csc-2n, cos-csc-2n, sin-csc-odd, cos-csc-odd
+    sin_prefix = traits.prefix == "sin"
+    if not traits.odd_m:
+        if sin_prefix:
+            return _real_value(
+                d * csc_pi((b - 1) * d) ** 2
+                * (m * sin_pi(2 * (b - 1) * (d - m)) - (d - m) * sin_pi(2 * (b - 1) * m))
+            )
         return _real_value(
             d * csc_pi((b - 1) * d) ** 2
             * (m * cos_pi(2 * (b - 1) * (d - m)) + (d - m) * cos_pi(2 * (b - 1) * m))
         )
-    if fam is Family.SIN_CSC_ODD:
+    if sin_prefix:
         return _real_value(-d * sin_pi((m - d) * b) * csc_pi(d * b))
     return _real_value(d * cos_pi((m - d) * b) * csc_pi(d * b))
 
@@ -211,20 +212,15 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
     traits = TRAITS[spec.family]
     if is_classical(spec):
         return SumValue(float(spec.d - 2 * spec.m), 0.0, "multi-index")
-    folded, fold_sign = frequency_fold(spec)
-    if folded is None:
+    m, fold_sign = frequency_fold(spec)
+    if m is None:
         return SumValue(0.0, 0.0, "multi-index")
-    d, m, n = folded.d, folded.m, folded.n
     # cached weights and slices skip the coefficient calls, so the cap is checked here
-    check_index(pole_order(spec.family, n) - 1, "apostol_coeff")
-    if traits.odd_m:
-        x1 = phase(-m * (b - 1.0))
-        x1c = phase(m * (b - 1.0))
-    else:
-        x1 = phase(-2.0 * m * b)
-        x1c = phase(2.0 * m * b)
+    check_index(pole_order(spec.family, spec.n) - 1, "apostol_coeff")
+    x1 = phase(-m * (b - 1.0) if traits.odd_m else -2.0 * m * b)
+    x1c = x1.conjugate()
     acc = 0j
-    for mu, g, h in _power_slice(spec.family, d, b, n):
+    for mu, g, h in _power_slice(spec.family, spec.d, b, spec.n):
         acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
     # as_sum_value drops -0.0, so the unfolded value passes through unchanged
     value = as_sum_value(-acc, "multi-index")

@@ -14,14 +14,16 @@ w = z - (1-b), and only that coefficient is formed: per kernel branch it
 is the sum over deg < 0 of (exp * cot^p)_deg * kernel_{-1-deg}, which
 needs the exponential and the kernel through w^(p-1) and the cot/csc
 power through w^-1 (p the pole order). Only the exponential numerator
-depends on m. The cot/csc power depends on neither d, b nor m, and the
-kernel 1/(t e^{cw} - 1) of each branch only on (p, d, b), so both are
-kept for the family walk (families.enter_walk), as the closed form keeps
-its composition weights and slices: a sweep over m builds the kernel
-once per (p, d, b) and pays per m only for the phases, the exponential
-coefficients and the p-term convolution. b enters only through phases
-(the constant x1 and the kernel's t), so it is reduced by its period
-first and the phases stay accurate at large shifts.
+depends on m. The cot/csc power depends on neither d, b nor m, its
+product with the exponential (the numerator row) only on (kind, p, m),
+and the kernel 1/(t e^{cw} - 1) of each branch only on (p, d, b), so
+all three are kept for the family walk (families.enter_walk), as the
+closed form keeps its composition weights and slices: a sweep over m
+builds each kernel once per (p, d, b) and each numerator row once per
+(p, m), and a warm call pays only for the phases and one p-term dot
+product per branch. b enters only through phases (the constant x1 and
+the kernel's t), so it is reduced by its period first and the phases
+stay accurate at large shifts.
 
 The four csc x cos/sin product families are taken through the
 first-power cot integrand (_integrand), by the identity the closed form
@@ -189,37 +191,48 @@ def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[compl
             _kernel(p, phase(2.0 * d * b), -2j * math.pi * d))
 
 
-def _branch_residue(singular: tuple[complex, ...], exp_coeff: complex,
-                    kernel: tuple[complex, ...]) -> complex:
-    """The w^{-1} coefficient of exp(exp_coeff w) * singular * kernel.
+@walk_cache(WALK_CACHE_SIZE)
+def _numerators(kind: str, p: int, exp_coeff: complex) -> tuple[tuple[complex, ...], ...]:
+    """Both branches' rows of exp(+-exp_coeff w) * the cot/csc power, at w^-p..w^-1.
 
-    singular holds the cot/csc power's coefficients of w^-p..w^-1, and
-    kernel the kernel's of w^0..w^(p-1) (see _kernels). Each coefficient
-    is accumulated in ascending index, as series_mul does.
+    The first branch takes exp_coeff, the second its negative. Each
+    coefficient is accumulated in ascending index, as series_mul does.
+    They depend only on the kind, the pole order and m.
     """
-    p = len(singular)
-    exp = [exp_coeff ** k / math.factorial(k) for k in range(p)]
-    acc = 0j
-    for i in range(p):
-        product = 0j  # (exp * singular) at w^(i-p)
-        for k in range(i + 1):
-            product += exp[k] * singular[i - k]
-        acc += product * kernel[p - 1 - i]
-    return acc
+    singular = _singular_power(kind, p).coeffs
+    rows = []
+    for c in (exp_coeff, -exp_coeff):
+        exp = [c ** k / math.factorial(k) for k in range(p)]
+        row = []
+        for i in range(p):
+            product = 0j  # (exp * singular) at w^(i-p)
+            for k in range(i + 1):
+                product += exp[k] * singular[i - k]
+            row.append(product)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _interior_residue(family: Family, p: int, d: int, m: int, b: float) -> complex:
-    """The w^{-1} coefficient at z = 1-b of a power family's integrand of pole order p."""
+    """The w^{-1} coefficient at z = 1-b of a power family's integrand of pole order p.
+
+    Per branch it is the dot product of the numerator row (see
+    _numerators) with the kernel's w^(p-1)..w^0, taken in ascending index.
+    """
     traits = TRAITS[family]
     theta = m * (b - 1.0) if traits.odd_m else 2.0 * m * b
-    x1, x1c = phase(-theta), phase(theta)
+    x1 = phase(-theta)
+    x1c = x1.conjugate()
     exp_coeff = (1j if traits.odd_m else 2j) * math.pi * m
-    singular = _singular_power(traits.shift_kind, p).coeffs
     # warm kernels skip the coefficient call, so the cap is checked here
     check_index(p - 1, "apostol_coeff")
-    kernel, kernel_c = _kernels(p, d, b)
-    plus = _branch_residue(singular, exp_coeff, kernel)
-    minus = _branch_residue(singular, -exp_coeff, kernel_c)
+    residues = []
+    for row, kernel in zip(_numerators(traits.shift_kind, p, exp_coeff), _kernels(p, d, b)):
+        acc = 0j
+        for r, k in zip(row, reversed(kernel)):
+            acc += r * k
+        residues.append(acc)
+    plus, minus = residues
     second_phase = -x1c if traits.prefix == "cos" else x1c
     return x1 * plus + second_phase * minus
 
@@ -261,10 +274,10 @@ def sum_via_residues(spec: SumSpec) -> SumValue:
     family, p, b, constant = _integrand(spec)
     # a product family walks as itself, though its residue is the cot one
     enter_walk(spec.family)
-    folded, fold_sign = frequency_fold(spec)
-    if folded is None:
+    m, fold_sign = frequency_fold(spec)
+    if m is None:
         return SumValue(0.0, 0.0, "residue")
-    d = folded.d
+    d = spec.d
     scale = -(math.pi * 1j * d) if TRAITS[family].prefix == "cos" else complex(-(math.pi * d))
-    value = constant * (scale * _interior_residue(family, p, d, folded.m, b))
+    value = constant * (scale * _interior_residue(family, p, d, m, b))
     return as_sum_value(complex(fold_sign * value.real, fold_sign * value.imag), "residue")

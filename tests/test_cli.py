@@ -8,6 +8,7 @@ import pytest
 
 from trigsum import cli
 from trigsum.cli import CSV_HEADER, PATH_NAMES, evaluate_case, grid_cases, main
+from trigsum.coefficients import bernoulli
 from trigsum.errors import NumericError
 from trigsum.families import Family, SumSpec, validate_params
 
@@ -374,6 +375,25 @@ def test_coeffs_cap_and_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["coeffs", "--kind", "cot", "--count", "99"])
     assert code == 0
     assert len(out.splitlines()) == 99
+
+
+def test_coeffs_count_reaches_the_cap_index(capsys, monkeypatch):
+    # count rows are indices 0..count-1, so the cap admits count = cap + 1
+    code, out, _ = run(capsys, ["coeffs", "--kind", "bernoulli", "--count", "65"])
+    assert code == 0
+    rows = out.splitlines()
+    assert [int(row.split(",")[0]) for row in rows] == list(range(65))
+    assert rows[-1] == f"64,{bernoulli(64).numerator},{bernoulli(64).denominator}"
+    code, _, err = run(capsys, ["coeffs", "--kind", "bernoulli", "--count", "66"])
+    assert code == 2
+    assert "coefficient cap exceeded: count 66 > cap 64" in err
+    monkeypatch.setenv("TRIGSUM_COEFF_CAP", "3")
+    code, out, _ = run(capsys, ["coeffs", "--kind", "cot", "--count", "4"])
+    assert code == 0
+    assert out.splitlines() == ["0,1,1", "1,-1,3", "2,-1,45", "3,-2,945"]
+    code, _, err = run(capsys, ["coeffs", "--kind", "cot", "--count", "5"])
+    assert code == 2
+    assert "coefficient cap exceeded: count 5 > cap 3" in err
 
 
 def test_coeffs_empty_listing(capsys):

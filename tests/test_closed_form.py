@@ -30,7 +30,7 @@ from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
 from trigsum.families import WALK_CACHE_SIZE
 from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row
-from trigsum.residue_engine import _kernels, _singular_power
+from trigsum.residue_engine import _kernels, _numerators, _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
 
 from mp_reference import prefix_vanishes, reference_sum
@@ -253,6 +253,10 @@ def test_slice_cache_is_bounded():
         sum_via_residues(spec)
     assert _power_slice.cache_info().currsize == WALK_CACHE_SIZE
     assert _kernels.cache_info().currsize == WALK_CACHE_SIZE
+    # one pair of numerator rows per m below d/2
+    for m in range(1, WALK_CACHE_SIZE + 12):
+        sum_via_residues(SumSpec(Family.COS_COT, 2 * WALK_CACHE_SIZE + 25, m, 0.137, 2))
+    assert _numerators.cache_info().currsize == WALK_CACHE_SIZE
 
 
 def test_walk_caches_hold_one_family():
@@ -261,6 +265,7 @@ def test_walk_caches_hold_one_family():
                 _composition_weights.cache_info().currsize,
                 _singular_power.cache_info().currsize,
                 _kernels.cache_info().currsize,
+                _numerators.cache_info().currsize,
                 _pole_distance.cache_info().currsize,
                 _prefix_row.cache_info().currsize,
                 _factor_rows.cache_info().currsize)
@@ -268,39 +273,40 @@ def test_walk_caches_hold_one_family():
     theorem_sum(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
     sum_via_residues(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 1, 1, 0, 0, 0)
+    assert sizes() == (1, 1, 1, 1, 1, 0, 0, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
+    assert sizes() == (1, 1, 0, 0, 0, 0, 0, 0)
     theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
-    assert sizes() == (2, 2, 0, 0, 0, 0, 0)
+    assert sizes() == (2, 2, 0, 0, 0, 0, 0, 0)
     # the weights depend only on (kind, n), so a new d or b reuses them
     built = _composition_weights.cache_info().misses
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
     theorem_sum(SumSpec(Family.COS_COT, 9, 1, 0.3, 3))
     assert _composition_weights.cache_info().misses == built
     sum_via_residues(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
-    # the kernels and the pole distance depend on neither m nor (beyond the pole order) n
+    # the kernels and the pole distance depend on neither m nor (beyond the pole order) n,
+    # and m = 5 folds onto the numerator rows of m = 3
     sum_via_residues(SumSpec(Family.COS_COT, 8, 5, 0.137, 2))
     conditioning(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
     conditioning(SumSpec(Family.COS_COT, 8, 1, 0.137, 3))
     # conditioning builds the oracle's factor rows for (d, b) along with the distance
-    assert sizes() == (4, 2, 1, 1, 1, 0, 1)
+    assert sizes() == (4, 2, 1, 1, 1, 1, 0, 1)
     # a new m reuses the factor rows; a new b or n reuses the prefix row of (d, m)
     direct_sum(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
     direct_sum(SumSpec(Family.COS_COT, 8, 5, 0.137, 2))
-    assert sizes() == (4, 2, 1, 1, 1, 2, 1)
+    assert sizes() == (4, 2, 1, 1, 1, 1, 2, 1)
     term_magnitude_sum(SumSpec(Family.COS_COT, 8, 5, 0.2, 3))
-    assert sizes() == (4, 2, 1, 1, 1, 2, 2)
+    assert sizes() == (4, 2, 1, 1, 1, 1, 2, 2)
     assert _factor_rows.cache_info().misses == 2 and _prefix_row.cache_info().misses == 2
     # a product family walks as itself, not as the cot family its residue uses
     sum_via_residues(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1, 1, 0, 0, 0)
+    assert sizes() == (0, 0, 1, 1, 1, 0, 0, 0)
     conditioning(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1, 1, 1, 0, 1)
+    assert sizes() == (0, 0, 1, 1, 1, 1, 0, 1)
     direct_sum(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
-    assert sizes() == (0, 0, 1, 1, 1, 1, 1)
+    assert sizes() == (0, 0, 1, 1, 1, 1, 1, 1)
     theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    assert sizes() == (1, 1, 0, 0, 0, 0, 0)
+    assert sizes() == (1, 1, 0, 0, 0, 0, 0, 0)
     # the oracle's sums never move the walk: on another family they drop nothing
     direct_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
     term_magnitude_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))

@@ -1,8 +1,13 @@
-"""Family catalog: the traits each family's description yields."""
+"""Family catalog: the traits each family's description yields, validation and the fold."""
 
 import dataclasses
 
-from trigsum.families import TRAITS, Family, FamilyTraits
+import pytest
+
+from trigsum import families
+from trigsum.errors import ParameterError
+from trigsum.families import (TRAITS, Family, FamilyTraits, SumSpec, frequency_fold,
+                              validate_params)
 
 FIELDS = ("prefix", "kind", "shift_kind", "second_kind", "odd_m", "shift_period",
           "oracle_start", "supports_power", "supports_residue")
@@ -40,3 +45,66 @@ def test_every_trait_of_every_family_is_pinned():
     assert set(TRAITS) == set(Family) == set(WANT)
     for family, want in WANT.items():
         assert dataclasses.astuple(TRAITS[family]) == want, family
+
+
+# --- the validation memo -----------------------------------------------------
+
+def test_the_same_spec_object_is_validated_once(monkeypatch):
+    checked = []
+
+    def counting_check(*args):
+        checked.append(args)
+        return check_shift(*args)
+
+    check_shift = families._check_shift
+    monkeypatch.setattr(families, "_check_shift", counting_check)
+    spec = SumSpec(Family.COS_CSC_CSC, 7, 2, 0.137, 1, 0.447)
+    assert validate_params(spec) is spec
+    first = len(checked)
+    assert first == 2
+    assert validate_params(spec) is spec
+    assert len(checked) == first
+    # an equal spec in a new object is checked again
+    assert validate_params(dataclasses.replace(spec)) == spec
+    assert len(checked) == 2 * first
+
+
+def test_an_invalid_spec_after_a_valid_one_still_raises():
+    valid = validate_params(SumSpec(Family.COS_COT, 4, 1, 0.137))
+    for bad in (SumSpec(Family.COS_COT, 4, 1, 0.25),            # b*d on the lattice
+                dataclasses.replace(valid, m=4),                  # m out of range
+                SumSpec(Family.COS_COT, 4, 1, 0.137, 1, 0.3)):    # extraneous b2
+        with pytest.raises(ParameterError):
+            validate_params(bad)
+        with pytest.raises(ParameterError):
+            validate_params(bad)
+    assert validate_params(valid) is valid
+
+
+def test_a_family_label_is_still_converted():
+    labelled = SumSpec("sin-csc-odd", 7, 3, 0.137, 2)
+    for _ in range(2):
+        spec = validate_params(labelled)
+        assert spec.family is Family.SIN_CSC_ODD
+        assert spec == SumSpec(Family.SIN_CSC_ODD, 7, 3, 0.137, 2)
+    assert validate_params(spec) is spec
+
+
+# --- the frequency fold ------------------------------------------------------
+
+def test_frequency_fold_reflects_m_above_half_of_d():
+    for family, sign in ((Family.COS_COT, 1.0), (Family.SIN_COT, -1.0),
+                         (Family.COS_CSC_COS, 1.0), (Family.SIN_CSC_SIN, -1.0)):
+        b2 = 0.447 if TRAITS[family].kind == "triple" else None
+        assert frequency_fold(SumSpec(family, 8, 3, 0.137, 1, b2)) == (3, 1.0)
+        assert frequency_fold(SumSpec(family, 8, 5, 0.137, 1, b2)) == (3, sign)
+        assert frequency_fold(SumSpec(family, 9, 8, 0.137, 1, b2)) == (1, sign)
+        # at 2m = d every sine prefix vanishes; the cosine keeps m
+        want = (4, 1.0) if TRAITS[family].prefix == "cos" else (None, 0.0)
+        assert frequency_fold(SumSpec(family, 8, 4, 0.137, 1, b2)) == want
+
+
+def test_frequency_fold_leaves_odd_m_and_doubled_range_families_alone():
+    for family in (Family.SIN_CSC_ODD, Family.COS_CSC_ODD, Family.COS_COT_2D, Family.SIN_COT_2D):
+        for d, m in ((8, 3), (8, 5), (8, 7), (10, 5), (9, 1)):
+            assert frequency_fold(SumSpec(family, d, m, 0.137)) == (m, 1.0), (family, d, m)

@@ -35,9 +35,9 @@ from trigsum import (
 )
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import reduced_shifts
+from trigsum.families import frequency_fold, reduced_shifts
 from trigsum import residue_engine
-from trigsum.residue_engine import _integrand, _kernels, _singular_power
+from trigsum.residue_engine import _integrand, _kernels, _numerators, _singular_power
 from trigsum.trig import QUARTER_TURNS, phase, quarter_turns
 
 
@@ -369,7 +369,9 @@ def test_singular_power_cold_and_warm_give_the_same_bits():
                  for dd in (d, d + 1) for m in range(1, dd)
                  if not TRAITS[family].odd_m or m % 2]
         for spec in specs:
+            # warm numerator rows skip the power, so both start cold
             _singular_power.cache_clear()
+            _numerators.cache_clear()
             cold = sum_via_residues(spec)
             for other in specs:
                 sum_via_residues(other)
@@ -400,6 +402,24 @@ def test_kernels_cold_and_warm_give_the_same_bits():
             assert _residue_bits(spec) == cold, spec
 
 
+def test_numerators_cold_and_warm_give_the_same_bits():
+    for family, d, n, b2 in ((Family.COS_COT, 9, 3, None), (Family.SIN_CSC_2N, 8, 2, None),
+                             (Family.COS_CSC_ODD, 9, 3, None), (Family.SIN_CSC_COS, 8, 1, 0.447)):
+        specs = [validate_params(SumSpec(family, dd, m, b, n, b2))
+                 for dd in (d, d + 1) for m in range(1, dd) for b in (0.137, 1e9 + 0.3)
+                 if not TRAITS[family].odd_m or m % 2]
+        for spec in specs:
+            _numerators.cache_clear()
+            cold = _residue_bits(spec)
+            for other in specs:
+                sum_via_residues(other)
+            # one pair of rows per m whatever d and b: each folded m, and the m
+            # itself, which residue_at_interior_pole reads unfolded
+            rows = {frequency_fold(other)[0] for other in specs} | {spec.m}
+            assert _numerators.cache_info().currsize == len(rows - {None})
+            assert _residue_bits(spec) == cold, spec
+
+
 def test_a_sweep_over_m_builds_each_kernel_once(monkeypatch):
     built = []
 
@@ -427,10 +447,13 @@ def test_warm_kernels_keep_the_coefficient_cap(monkeypatch):
     sum_via_residues(SumSpec(Family.SIN_COT, 5, 1, 0.137))   # end the walk
     sum_via_residues(SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4))   # kernel index 2n - 1 = 7
     assert _kernels.cache_info().currsize == 1
+    assert _numerators.cache_info().currsize == 1
     monkeypatch.setenv("TRIGSUM_COEFF_CAP", "6")
-    for path in (sum_via_residues, residue_at_interior_pole):
-        with pytest.raises(NumericError, match="order too large"):
-            path(SumSpec(Family.COS_CSC_2N, 6, 2, 0.137, 4))
+    # a new m, then warm numerator rows: m = 1 and m = 5, which folds onto 1
+    for m in (2, 1, 5):
+        for path in (sum_via_residues, residue_at_interior_pole):
+            with pytest.raises(NumericError, match="order too large"):
+                path(SumSpec(Family.COS_CSC_2N, 6, m, 0.137, 4))
 
 
 # --- reconstructed sums ------------------------------------------------------------
