@@ -69,7 +69,8 @@ def _compute_path(name: str, spec: SumSpec) -> float:
     return sum_via_residues(spec).value
 
 
-@dataclass(frozen=True)
+# not frozen, as SumValue: verify builds one per case
+@dataclass(slots=True)
 class VerificationReport:
     """One grid case: the computed path values and their worst disagreement."""
     spec: SumSpec
@@ -149,14 +150,16 @@ def _grid(families, dmax, nmax, offsets) -> Iterator[tuple[SumSpec, int]]:
         n_values = range(1, nmax + 1) if traits.supports_power else (1,)
         for d in range(2, dmax + 1):
             bs = tuple(offsets) if offsets is not None else default_offsets(d)
+            # formed once per d, so every m shares one b2 float, not one each
+            shifts = [(float(b), b + TRIPLE_B2_OFFSET if traits.kind == "triple" else None)
+                      for b in bs]
             for m in range(1, d):
                 if traits.odd_m and m % 2 == 0:
                     continue
-                for b_index, b in enumerate(bs):
-                    b2 = b + TRIPLE_B2_OFFSET if traits.kind == "triple" else None
+                for b_index, (b, b2) in enumerate(shifts):
                     for n in n_values:
                         try:
-                            spec = validate_params(SumSpec(family, d, m, float(b), n, b2))
+                            spec = validate_params(SumSpec(family, d, m, b, n, b2))
                         except ParameterError:
                             continue
                         yield spec, b_index

@@ -222,9 +222,7 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
     acc = 0j
     for mu, g, h in _power_slice(spec.family, spec.d, b, spec.n):
         acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
-    # as_sum_value drops -0.0, so the unfolded value passes through unchanged
-    value = as_sum_value(-acc, "multi-index")
-    return SumValue(fold_sign * value.value + 0.0, value.imag_residual, "multi-index")
+    return as_sum_value(complex(-fold_sign * acc.real, -fold_sign * acc.imag), "multi-index")
 
 
 def closed_form_value(spec: SumSpec) -> SumValue:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import NumericError, ParameterError
@@ -128,9 +128,15 @@ class SumSpec:
     b: float
     n: int = 1
     b2: float | None = None
+    # the mark validate_params sets on an object it accepts. It is not a
+    # parameter, so equality, hashing, repr and dataclasses.replace leave
+    # it out, and a replaced copy starts unmarked
+    _valid: bool = field(default=False, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: every path call builds one, and a frozen record takes about
+# three times as long to build
+@dataclass(slots=True)
 class SumValue:
     """An evaluated sum: real value, discarded imaginary magnitude, path."""
     value: float
@@ -284,9 +290,9 @@ def _check_integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
-# the spec validate_params accepted last. verify, eval --all-paths and the
-# sweeps hand one spec object to every path, and each path validates it
-_last_valid: SumSpec | None = None
+# sets the mark: SumSpec is frozen, so setattr refuses, and the slot's own
+# setter is cheaper than object.__setattr__
+_mark = SumSpec._valid.__set__
 
 
 def validate_params(spec: SumSpec) -> SumSpec:
@@ -297,26 +303,26 @@ def validate_params(spec: SumSpec) -> SumSpec:
     shift that is not finite, or a shift on the singular set. A family
     given as its label is converted, in a new spec.
 
-    The spec accepted last is returned at once when the same object comes
-    again: SumSpec is frozen, so it is still valid. The test is identity,
-    not equality, since hashing the float fields costs about as much as
-    the checks.
+    The accepted spec is marked, and a marked spec is returned at once:
+    SumSpec is frozen, so it stays valid for its whole life. The grid
+    validates each spec as it builds it, so every path that later takes
+    it, on any pass, only reads the mark. A spec made by
+    dataclasses.replace starts unmarked and is checked again.
     """
-    global _last_valid
-    if spec is _last_valid:
+    if spec._valid:
         return spec
-    spec = _check_params(spec)
-    _last_valid = spec
-    return spec
+    return _check_params(spec)
 
 
 def _check_params(spec: SumSpec) -> SumSpec:
-    """validate_params without the memo."""
+    """validate_params of an unmarked spec; marks the spec it returns."""
     if not isinstance(spec.family, Family):
         spec = replace(spec, family=Family.from_label(str(spec.family)))
-    _check_integer("d", spec.d)
-    _check_integer("m", spec.m)
-    _check_integer("n", spec.n)
+    # a plain int passes without the three calls
+    if type(spec.d) is not int or type(spec.m) is not int or type(spec.n) is not int:
+        _check_integer("d", spec.d)
+        _check_integer("m", spec.m)
+        _check_integer("n", spec.n)
     traits = TRAITS[spec.family]
     if spec.n < 1:
         raise ParameterError(f"n must be a positive integer, got {spec.n}")
@@ -336,11 +342,15 @@ def _check_params(spec: SumSpec) -> SumSpec:
     if not math.isfinite(spec.b):
         raise ParameterError(f"b must be finite, got {spec.b!r}")
     if is_classical(spec):
+        _mark(spec, True)
         return spec
     # the singular sets are tested on the reduced shifts: a product such as
     # b*d formed from b = 1e9 + x rounds to within 1e-8 of an integer for
-    # most x. A shift moves by whole periods, so no distance below changes
-    b, b2 = reduced_shifts(spec)
+    # most x. A shift moves by whole periods, so no distance below changes.
+    # This is reduced_shifts, inline: validation runs on every spec built
+    period = traits.shift_period
+    b = math.fmod(spec.b, period)
+    b2 = None if spec.b2 is None else math.fmod(spec.b2, period)
     _check_shift(spec.family, traits.shift_kind, b, spec.d, "b")
     if traits.kind == "triple":
         assert b2 is not None
@@ -360,4 +370,5 @@ def _check_params(spec: SumSpec) -> SumSpec:
                     "parameter on singular set: b - b2 congruent to 1/2 mod 1 "
                     f"(b - b2 = {b - b2!r}, excluded for {spec.family.value})"
                 )
+    _mark(spec, True)
     return spec

@@ -1,13 +1,15 @@
 """Command-line interface: output contracts and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from trigsum import cli
+from trigsum import cli, families
 from trigsum.cli import CSV_HEADER, PATH_NAMES, evaluate_case, grid_cases, main
+from trigsum.closed_form import closed_form_value
 from trigsum.coefficients import bernoulli
 from trigsum.errors import NumericError
 from trigsum.families import Family, SumSpec, validate_params
@@ -129,6 +131,33 @@ def test_verify_quiet_suppresses_rows(capsys):
     code, out, _ = run(capsys, ["verify", "--dmax", "4", "--nmax", "1", "--quiet"])
     assert code == 0
     assert len(out.splitlines()) == 1
+
+
+def test_grid_cases_are_not_validated_again(monkeypatch):
+    # the grid validates each spec as it builds it; no path, nor a later pass, checks it again
+    cases = grid_cases(tuple(Family), 6, 2)
+    checked = []
+    check_params = families._check_params
+    monkeypatch.setattr(families, "_check_params",
+                        lambda spec: checked.append(spec) or check_params(spec))
+    for _ in range(2):
+        for spec, b_index in cases:
+            evaluate_case(spec, b_index, PATH_NAMES, 1e-8)
+    assert checked == []
+
+
+def test_result_records_keep_their_fields():
+    spec = validate_params(SumSpec(Family.COS_CSC_COS, 6, 1, 0.137, 1, 0.447))
+    report = evaluate_case(spec, 0, PATH_NAMES, 1e-8)
+    assert tuple(f.name for f in dataclasses.fields(report)) == (
+        "spec", "b_index", "values", "conditioning", "abs_err", "rel_err", "worst_pair", "status")
+    assert dataclasses.replace(report, status="fail").status == "fail"
+    assert report.status == "pass"
+    value = closed_form_value(spec)
+    assert tuple(f.name for f in dataclasses.fields(value)) == ("value", "imag_residual", "path")
+    assert repr(value) == f"SumValue(value={value.value!r}, imag_residual=0.0, path='closed-form')"
+    moved = dataclasses.replace(value, value=1.5)
+    assert (moved.value, moved.imag_residual, moved.path) == (1.5, 0.0, "closed-form")
 
 
 def batch_verify(dmax, nmax, tol, quiet):

@@ -47,26 +47,55 @@ def test_every_trait_of_every_family_is_pinned():
         assert dataclasses.astuple(TRAITS[family]) == want, family
 
 
-# --- the validation memo -----------------------------------------------------
+# --- the validation mark -----------------------------------------------------
 
-def test_the_same_spec_object_is_validated_once(monkeypatch):
+@pytest.fixture
+def shift_checks(monkeypatch):
+    """Every _check_shift call's arguments, in order."""
     checked = []
+    check_shift = families._check_shift
 
     def counting_check(*args):
         checked.append(args)
         return check_shift(*args)
 
-    check_shift = families._check_shift
     monkeypatch.setattr(families, "_check_shift", counting_check)
+    return checked
+
+
+def test_the_same_spec_object_is_validated_once(shift_checks):
     spec = SumSpec(Family.COS_CSC_CSC, 7, 2, 0.137, 1, 0.447)
     assert validate_params(spec) is spec
-    first = len(checked)
+    first = len(shift_checks)
     assert first == 2
     assert validate_params(spec) is spec
-    assert len(checked) == first
-    # an equal spec in a new object is checked again
-    assert validate_params(dataclasses.replace(spec)) == spec
-    assert len(checked) == 2 * first
+    assert len(shift_checks) == first
+    # dataclasses.replace gives an equal spec that starts unmarked and is checked again
+    copy = dataclasses.replace(spec)
+    assert copy == spec and copy._valid is False
+    assert validate_params(copy) is copy
+    assert len(shift_checks) == 2 * first
+    assert validate_params(copy) is copy
+    assert len(shift_checks) == 2 * first
+
+
+def test_a_spec_stays_validated_after_others_are(shift_checks):
+    a = SumSpec(Family.COS_CSC_CSC, 7, 2, 0.137, 1, 0.447)
+    b = SumSpec(Family.SIN_SEC_SEC, 9, 4, 0.21, 1, 0.52)
+    validate_params(a)
+    validate_params(b)
+    seen = len(shift_checks)
+    assert seen == 4
+    assert validate_params(a) is a
+    assert validate_params(b) is b
+    assert len(shift_checks) == seen
+
+
+def test_the_mark_is_not_part_of_the_spec():
+    marked = validate_params(SumSpec(Family.COS_CSC_SEC, 7, 2, 0.137, 1, 0.447))
+    plain = SumSpec(Family.COS_CSC_SEC, 7, 2, 0.137, 1, 0.447)
+    assert marked._valid is True and plain._valid is False
+    assert marked == plain and hash(marked) == hash(plain) and repr(marked) == repr(plain)
 
 
 def test_an_invalid_spec_after_a_valid_one_still_raises():
@@ -78,15 +107,19 @@ def test_an_invalid_spec_after_a_valid_one_still_raises():
             validate_params(bad)
         with pytest.raises(ParameterError):
             validate_params(bad)
+        assert bad._valid is False
     assert validate_params(valid) is valid
 
 
 def test_a_family_label_is_still_converted():
+    # only the converted copy is marked, so the label spec is converted each time
     labelled = SumSpec("sin-csc-odd", 7, 3, 0.137, 2)
     for _ in range(2):
         spec = validate_params(labelled)
+        assert spec is not labelled
         assert spec.family is Family.SIN_CSC_ODD
         assert spec == SumSpec(Family.SIN_CSC_ODD, 7, 3, 0.137, 2)
+        assert spec._valid is True and labelled._valid is False
     assert validate_params(spec) is spec
 
 
