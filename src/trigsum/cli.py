@@ -281,7 +281,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         families: tuple[Family, ...] = tuple(Family)
     else:
         families = (Family.from_label(args.family),)
-    offsets = tuple(args.b) if args.b else None
+    # a repeated --b would repeat its rows; keep the distinct offsets in their order
+    offsets = tuple(dict.fromkeys(args.b)) if args.b else None
     # the grid drops offsets on a singular set; a non-finite one is a usage error
     for b in offsets or ():
         if not math.isfinite(b):

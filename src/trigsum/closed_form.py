@@ -1,19 +1,30 @@
 """Closed-form evaluation of every sum family.
 
-Two layers live here. The first holds the first-power closed forms of
-the six power families. One of them, the cotangent sum
+Two layers live here. The first is the first power (n = 1) of all 22
+families, in one function (_first_power) built on the cotangent sum
 
-    sum_{j<d} prefix(2 pi m j/d) * cot(pi (j/d + b + k/2)) = +-d * osc * csc,
+    sum_{j<d} prefix(2 pi m j/d) * cot(pi (j/d + b + k/2))
+        = +-d * Q(pi s (b + k/2)) * csc(pi d (b + k/2)),
 
-with the shift given as b plus k quarter turns (k an integer), is the
-one every other family reduces onto, by one of four identities:
+with Q the prefix (sin or cos), s = 2m - d the frequency offset and the
+shift given as b plus k quarter turns (k an integer). Sixteen families
+reduce onto it by one of four identities, and the two odd-power
+cosecant sums by a fifth:
 
   * tan(pi x) = -cot(pi (x + 1/2)) and sec(pi x) = csc(pi (x + 1/2));
-  * the doubled-range sum X-cot-2d(d, m, b) is X-cot(2d, 2m, b);
+  * the doubled-range sum X-cot-2d(d, m, b) is X-cot(2d, 2m, b), so
+    s = 4m - 2d at 2d;
   * csc(pi x) * sin(pi (x + D)) = sin(pi D) * cot(pi x) + cos(pi D),
     whose constant term sums to zero against the prefix (cos(pi y) is
     sin(pi (y + 1/2)));
-  * csc A * csc B = (cot A - cot B) / sin(B - A).
+  * csc A * csc B = (cot A - cot B) / sin(B - A);
+  * the half-frequency identity: the half-turn prefix cos(pi m j/d) of
+    the odd-power cosecant sums is the full-turn prefix at frequency
+    m/2, and their first power is the same formula at s = m - d, k = 0.
+
+The even-power cosecant sums at n = 1 have their own csc^2 form, one
+expression in Q, and sin-cot at an integer shift is the classical value
+d - 2m.
 
 The quarter turns stay integers and are taken exactly (sin becomes
 +-sin or +-cos, csc becomes +-csc or +-sec), never added to b as a
@@ -57,7 +68,6 @@ from .coefficients import apostol_coeff_table, check_index
 from .errors import ParameterError
 from .families import (
     TRAITS,
-    WALK_CACHE_SIZE,
     Family,
     FamilyTraits,
     SumSpec,
@@ -81,69 +91,59 @@ def _real_value(x: float) -> SumValue:
     return SumValue(x + 0.0, 0.0, "closed-form")
 
 
-def _cot_sum(prefix: str, d: int, m: int, b: float, k: int) -> float:
-    """First-power cot sum of prefix(2 pi m j/d) * cot(pi (j/d + b + k/2)) over j < d."""
-    s = 2 * m - d
+def _cot_sum(prefix: str, d: int, s: int, b: float, k: int) -> float:
+    """The cot sum +-d * Q(pi s b) * csc(pi d b) at frequency offset s (2m - d).
+
+    Q is the prefix, sin or cos, and b is shifted by k quarter turns.
+    """
     if prefix == "cos":
         return d * quarter_turns(s * b, s * k + 1) * quarter_turns(b * d, d * k, True)
     return -d * quarter_turns(s * b, s * k) * quarter_turns(b * d, d * k, True)
 
 
-def _reduced_sum(spec: SumSpec, traits: FamilyTraits, b: float, b2: float | None) -> float:
-    """A tangent, doubled-range or triple-product sum as first-power cot sums.
-
-    b and b2 are the spec's shifts reduced by its period.
-    """
-    d, m, prefix = spec.d, spec.m, traits.prefix
-    if traits.kind == "double":
-        return _cot_sum(prefix, 2 * d, 2 * m, b, 0)
-    k = QUARTER_TURNS[traits.shift_kind]
-    if traits.kind == "tangent":
-        return -_cot_sum(prefix, d, m, b, k)
-    assert b2 is not None
-    r = QUARTER_TURNS[traits.second_kind]
-    if traits.second_kind in ("cos", "sin"):
-        return quarter_turns(b2 - b, r - k) * _cot_sum(prefix, d, m, b, k)
-    return (_cot_sum(prefix, d, m, b, k) - _cot_sum(prefix, d, m, b2, r)) \
-        * quarter_turns(b2 - b, r - k, True)
-
-
 def corollary_value(spec: SumSpec) -> SumValue:
     """First-power closed form for the six power families."""
     spec = validate_params(spec)
-    if TRAITS[spec.family].kind != "power":
+    traits = TRAITS[spec.family]
+    if traits.kind != "power":
         raise ParameterError(f"corollary_value does not cover family {spec.family.value}")
     if spec.n != 1:
         raise ParameterError(f"corollary_value requires n = 1, got n = {spec.n}")
-    return _corollary(spec, reduced_shifts(spec)[0])
+    return _real_value(_first_power(spec, traits, reduced_shifts(spec)[0], None))
 
 
-def _corollary(spec: SumSpec, b: float) -> SumValue:
-    """corollary_value of a validated spec whose shift, reduced, is b."""
-    traits = TRAITS[spec.family]
-    d, m = spec.d, spec.m
-    if is_classical(spec):
-        return _real_value(float(d - 2 * m))
-    if traits.shift_kind == "cot":
-        return _real_value(_cot_sum(traits.prefix, d, m, b, 0))
-    # the four csc families: sin-csc-2n, cos-csc-2n, sin-csc-odd, cos-csc-odd
-    sin_prefix = traits.prefix == "sin"
-    if not traits.odd_m:
-        if sin_prefix:
-            return _real_value(
-                d * csc_pi((b - 1) * d) ** 2
-                * (m * sin_pi(2 * (b - 1) * (d - m)) - (d - m) * sin_pi(2 * (b - 1) * m))
+def _first_power(spec: SumSpec, traits: FamilyTraits, b: float, b2: float | None) -> float:
+    """The sum at n = 1 of a validated spec whose shifts, reduced, are b and b2."""
+    d, m, prefix, kind = spec.d, spec.m, traits.prefix, traits.kind
+    if kind == "power":
+        if traits.odd_m:
+            # the half-turn prefix is the full-turn prefix at frequency m/2
+            return _cot_sum(prefix, d, m - d, b, 0)
+        if traits.shift_kind == "csc":
+            # the csc^2 form, one expression in the prefix's function osc;
+            # sin_pi(-x) = -sin_pi(x) and cos_pi(-x) = cos_pi(x) exactly
+            osc = cos_pi if prefix == "cos" else sin_pi
+            return d * csc_pi((b - 1) * d) ** 2 * (
+                m * osc(2 * (b - 1) * (d - m)) + (d - m) * osc(-2 * (b - 1) * m)
             )
-        return _real_value(
-            d * csc_pi((b - 1) * d) ** 2
-            * (m * cos_pi(2 * (b - 1) * (d - m)) + (d - m) * cos_pi(2 * (b - 1) * m))
-        )
-    if sin_prefix:
-        return _real_value(-d * sin_pi((m - d) * b) * csc_pi(d * b))
-    return _real_value(d * cos_pi((m - d) * b) * csc_pi(d * b))
+        # b is reduced, so only b == 0.0 can be the classical point
+        if b == 0.0 and is_classical(spec):
+            return float(d - 2 * m)
+        return _cot_sum(prefix, d, 2 * m - d, b, 0)
+    if kind == "double":
+        return _cot_sum(prefix, 2 * d, 4 * m - 2 * d, b, 0)
+    k = QUARTER_TURNS[traits.shift_kind]
+    cot = _cot_sum(prefix, d, 2 * m - d, b, k)
+    if kind == "tangent":
+        return -cot
+    assert b2 is not None
+    r = QUARTER_TURNS[traits.second_kind]
+    if traits.second_kind in ("cos", "sin"):
+        return quarter_turns(b2 - b, r - k) * cot
+    return (cot - _cot_sum(prefix, d, 2 * m - d, b2, r)) * quarter_turns(b2 - b, r - k, True)
 
 
-@walk_cache()
+@walk_cache
 def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...]:
     """The exact weight of each (mu, nu) pair of the composition sum at pole order p.
 
@@ -162,7 +162,7 @@ def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...
     return tuple((mu, nu, float(w)) for (mu, nu), w in weights.items())
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _power_slice(
     family: Family, d: int, b: float, n: int
 ) -> tuple[tuple[int, complex, complex], ...]:
@@ -226,10 +226,9 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
 
 
 def closed_form_value(spec: SumSpec) -> SumValue:
-    """Dispatch to the closed form matching the family and power."""
+    """The first-power form at n = 1, the multi-index expression above it."""
     spec = validate_params(spec)
-    traits = TRAITS[spec.family]
     b, b2 = reduced_shifts(spec)
-    if traits.kind != "power":
-        return _real_value(_reduced_sum(spec, traits, b, b2))
-    return _corollary(spec, b) if spec.n == 1 else _theorem(spec, b)
+    if spec.n == 1:
+        return _real_value(_first_power(spec, TRAITS[spec.family], b, b2))
+    return _theorem(spec, b)

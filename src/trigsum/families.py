@@ -191,18 +191,17 @@ def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:
 _walk: Family | None = None
 _WALK_CACHES: list = []
 
-# the bound of every walk cache keyed by d or b: verify's order keeps
-# len(offsets) * nmax entries in use across one (family, d)
+# the bound of every walk cache: verify's order keeps len(offsets) * nmax
+# entries in use across one (family, d), and a cache keyed by (kind, pole
+# order) alone holds a few pole orders per walk
 WALK_CACHE_SIZE = 64
 
 
-def walk_cache(maxsize: int | None = None):
-    """functools.lru_cache(maxsize=maxsize), dropped when the walk changes family."""
-    def decorate(fn):
-        cached = functools.lru_cache(maxsize=maxsize)(fn)
-        _WALK_CACHES.append(cached)
-        return cached
-    return decorate
+def walk_cache(fn):
+    """functools.lru_cache(maxsize=WALK_CACHE_SIZE), dropped when the walk changes family."""
+    cached = functools.lru_cache(maxsize=WALK_CACHE_SIZE)(fn)
+    _WALK_CACHES.append(cached)
+    return cached
 
 
 def enter_walk(family: Family | None) -> None:

@@ -50,7 +50,6 @@ from operator import mul
 from .errors import NumericError
 from .families import (
     TRAITS,
-    WALK_CACHE_SIZE,
     Family,
     SumSpec,
     SumValue,
@@ -90,14 +89,14 @@ def _reduced_shift(beta: float, period: int) -> float:
     return math.remainder(beta, float(period))
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _prefix_row(prefix: str, num: int, d: int, start: int, stop: int) -> list[float]:
     """cos or sin(pi num j / d) for j in range(start, stop); callers only read it."""
     ratio = cos_pi_ratio if prefix == "cos" else sin_pi_ratio
     return [ratio(num * j, d) for j in range(start, stop)]
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _factor_rows(family: Family, d: int, b: float, b2: float | None) -> tuple[list[float], ...]:
     """Each factor after the prefix, at the first power, over the index range.
 
@@ -165,7 +164,7 @@ def conditioning(spec: SumSpec) -> float:
     return _pole_distance(spec.family, spec.d, spec.b, spec.b2)
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _pole_distance(family: Family, d: int, b: float, b2: float | None) -> float:
     """conditioning of a valid spec: it depends on neither m nor n."""
     traits = TRAITS[family]

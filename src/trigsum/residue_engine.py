@@ -40,7 +40,6 @@ from .coefficients import apostol_coeff_table, check_index, cot_coeff, csc_coeff
 from .errors import ParameterError
 from .families import (
     TRAITS,
-    WALK_CACHE_SIZE,
     Family,
     SumSpec,
     SumValue,
@@ -172,7 +171,7 @@ def _integrand(spec: SumSpec) -> tuple[Family, int, float, float]:
     return cot, 1, b, quarter_turns(b2 - b, QUARTER_TURNS[traits.second_kind])
 
 
-@walk_cache()
+@walk_cache
 def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
     """The cot or csc factor raised to the pole order, through w^-1."""
     return series_pow(expand_factor(kind, pole_order - 2), pole_order)
@@ -184,7 +183,7 @@ def _kernel(p: int, t: complex, scale: complex) -> tuple[complex, ...]:
     return tuple([table[k] * scale ** k / math.factorial(k) for k in range(p)])
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Both branches' kernels at (d, b), through w^(p-1).
 
@@ -195,7 +194,7 @@ def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[compl
             _kernel(p, phase(2.0 * d * b), -2j * math.pi * d))
 
 
-@walk_cache(WALK_CACHE_SIZE)
+@walk_cache
 def _numerators(kind: str, p: int, exp_coeff: complex) -> tuple[tuple[complex, ...], ...]:
     """Both branches' rows of exp(+-exp_coeff w) * the cot/csc power, at w^-p..w^-1.
 

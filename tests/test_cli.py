@@ -323,6 +323,16 @@ def test_table_explicit_offset_row(capsys):
     assert cols[12] == "pass"
 
 
+def test_table_repeated_offset_prints_each_row_once(capsys):
+    code, out, _ = run(capsys, ["table", "--family", "cos-cot", "--dmax", "3",
+                                "--b", "0.25", "--b", "0.125", "--b", "0.25"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[2], row[3], row[4]) for row in rows] == [
+        ("2", "1", "0.25"), ("2", "1", "0.125"),
+        ("3", "1", "0.25"), ("3", "1", "0.125"), ("3", "2", "0.25"), ("3", "2", "0.125")]
+
+
 def test_classical_point_compares_closed_against_oracle(capsys):
     # at b = 0 the sin-cot integrand's interior pole merges with the j = 0
     # boundary pole, so the residue path sits out and the sum is d - 2m

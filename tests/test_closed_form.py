@@ -22,7 +22,7 @@ from trigsum import (
     theorem_sum,
     validate_params,
 )
-from trigsum import closed_form
+from trigsum import closed_form, families
 from trigsum.cli import grid_cases
 from trigsum.closed_form import _composition_weights, _power_slice
 from trigsum.coefficients import cot_coeff, csc_coeff
@@ -257,6 +257,12 @@ def test_slice_cache_is_bounded():
     for m in range(1, WALK_CACHE_SIZE + 12):
         sum_via_residues(SumSpec(Family.COS_COT, 2 * WALK_CACHE_SIZE + 25, m, 0.137, 2))
     assert _numerators.cache_info().currsize == WALK_CACHE_SIZE
+
+
+def test_every_walk_cache_has_the_one_bound():
+    # two in the closed form, three in the residue path, three in the oracle
+    assert len(families._WALK_CACHES) == 8
+    assert all(cache.cache_info().maxsize == WALK_CACHE_SIZE for cache in families._WALK_CACHES)
 
 
 def test_walk_caches_hold_one_family():
@@ -562,6 +568,16 @@ def test_large_shifts_match_the_reference(spec):
         paths.append(sum_via_residues)
     for path in paths:
         assert rel_err(path(spec).value, want) <= 1e-13, path.__name__
+
+
+def test_first_power_of_every_family_matches_the_reference():
+    # every grid offset of all 22 families at d = 6 and 7, n = 1: 696 cases,
+    # the worst 1.6e-13 (cos-csc-sec d=6 m=2 b=1/3+1/42)
+    cases = [spec for spec, _ in grid_cases(tuple(Family), 7, 1) if spec.d >= 6]
+    assert len(cases) == 696 and {spec.family for spec in cases} == set(Family)
+    for spec in cases:
+        want = reference_sum(spec)
+        assert abs(closed_form_value(spec).value - want) <= 1e-12 * max(1.0, abs(want)), spec
 
 
 def test_classical_limit_small_b():

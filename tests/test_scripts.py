@@ -22,6 +22,31 @@ def test_value_digest_cold_equals_warm(capsys):
     assert len(warm.splitlines()) == 5
 
 
+# sha256 of each function's values over the d <= 6, n <= 2 grid and 100 seeded draws
+PINNED_DIGESTS = {
+    "conditioning": "1a5744351cee3ec7c0e39e53bc8c8ebfd7afe11833382cd064ba14076b29637e",
+    "term_magnitude_sum": "36e8d12890ca40e055a099203efc0cf6078c3ddfc4dab2b42bdc3fcc29b54b69",
+    "closed_form_value": "c41b5a7c5b6832358204da79e5d6d7450587b49597fd296528ef87c7ec99cb26",
+    "direct_sum": "28279e5cfed2b2a94bdbbf32432b899dab6e8f8677cef390b0051ab290fe288b",
+    "sum_via_residues": "12cab4a421b8c8146f3c471a9ff65f7179fd1c5ff033d28fc077863ac2f5e06c",
+}
+
+
+def test_value_digest_pins_every_value(capsys):
+    """Every path's values, to the bit, on 1 288 specs.
+
+    The hashes were recorded on CPython 3.11.7 with glibc 2.36's libm on
+    x86-64 Linux; another libm may round sin or cos differently and change
+    them. A change that moves any value (a defect fix such as D2, D8 or D9)
+    updates these literals and lists each moved value in CHANGES.md.
+    """
+    main = runpy.run_path(str(SCRIPTS / "value_digest.py"))["main"]
+    main(["--dmax", "6", "--nmax", "2", "--draws", "100"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert {name: (count, digest) for name, count, digest in lines} == {
+        name: ("1288", digest) for name, digest in PINNED_DIGESTS.items()}
+
+
 def test_accuracy_scan_on_the_oracle(capsys):
     pytest.importorskip("mpmath")
     main = runpy.run_path(str(SCRIPTS / "accuracy_scan.py"))["main"]
