@@ -52,11 +52,11 @@ family walk (families.enter_walk): a sweep over m builds the kernel
 once, and a walk over the d, b and n of one family enumerates the
 tuples once per n.
 
-Each public entry validates its spec once and reduces b and b2 by the
-family's shift period (families.reduced_shifts) before any product such
-as m*b or d*b is formed; the helpers below work on the reduced shifts.
-Shift arguments are handled in half-turn units and reduced again before
-the factor of pi.
+closed_form_value, the one public entry, validates its spec once and
+reduces b and b2 by the family's shift period (families.reduced_shifts)
+before any product such as m*b or d*b is formed; the helpers below work
+on the reduced shifts. Shift arguments are handled in half-turn units
+and reduced again before the factor of pi.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ import math
 from fractions import Fraction
 
 from .coefficients import apostol_coeff_table, check_index
-from .errors import ParameterError
 from .families import (
     TRAITS,
     Family,
@@ -99,17 +98,6 @@ def _cot_sum(prefix: str, d: int, s: int, b: float, k: int) -> float:
     if prefix == "cos":
         return d * quarter_turns(s * b, s * k + 1) * quarter_turns(b * d, d * k, True)
     return -d * quarter_turns(s * b, s * k) * quarter_turns(b * d, d * k, True)
-
-
-def corollary_value(spec: SumSpec) -> SumValue:
-    """First-power closed form for the six power families."""
-    spec = validate_params(spec)
-    traits = TRAITS[spec.family]
-    if traits.kind != "power":
-        raise ParameterError(f"corollary_value does not cover family {spec.family.value}")
-    if spec.n != 1:
-        raise ParameterError(f"corollary_value requires n = 1, got n = {spec.n}")
-    return _real_value(_first_power(spec, traits, reduced_shifts(spec)[0], None))
 
 
 def _first_power(spec: SumSpec, traits: FamilyTraits, b: float, b2: float | None) -> float:
@@ -166,7 +154,7 @@ def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...
 def _power_slice(
     family: Family, d: int, b: float, n: int
 ) -> tuple[tuple[int, complex, complex], ...]:
-    """The frequency-free part of theorem_sum for one (family, d, b, n).
+    """The frequency-free part of _theorem for one (family, d, b, n).
 
     One entry (mu, G, H) per (mu, nu) pair of the composition sum: its
     composition weight (see _composition_weights), times the powers of i
@@ -192,22 +180,11 @@ def _power_slice(
     return tuple(out)
 
 
-def theorem_sum(spec: SumSpec) -> SumValue:
-    """General multi-index evaluation for the six power families, any n.
-
-    The composition weights (per n) and the frequency-free slices (per
-    d, b and n) are kept while the calls stay on one family, so a sweep
-    over m builds the slice once and a sweep over d and b enumerates the
-    tuples once per n; cold and warm calls take the same arithmetic.
-    """
-    spec = validate_params(spec)
-    if TRAITS[spec.family].kind != "power":
-        raise ParameterError(f"theorem_sum does not cover family {spec.family.value}")
-    return _theorem(spec, reduced_shifts(spec)[0])
-
-
 def _theorem(spec: SumSpec, b: float) -> SumValue:
-    """theorem_sum of a validated spec whose shift, reduced, is b."""
+    """The multi-index value of a validated power-family spec whose shift, reduced, is b.
+
+    Cold and warm calls take the same arithmetic.
+    """
     enter_walk(spec.family)
     traits = TRAITS[spec.family]
     if is_classical(spec):

@@ -10,8 +10,9 @@ cotangent and cosecant expansion coefficients
 
 are the odd-degree Laurent coefficients of cot(pi*w) and -cosec(pi*w)
 around w = 0, scaled so the power of pi is carried separately. The
-kernel coefficients apostol_coeff(nu, t) are the scaled Taylor
-coefficients of 1/(t*e^z - 1), computed by the complex recurrence
+kernel coefficients A_0(t)..A_nu(t) of apostol_coeff_table are the
+scaled Taylor coefficients of 1/(t*e^z - 1), computed by the complex
+recurrence
 
     A_0 = 1/(t-1),   A_nu = -t/(t-1) * sum binom(nu,k) A_k  (k < nu),
 
@@ -123,8 +124,3 @@ def apostol_coeff_table(nu: int, t: complex) -> list[complex]:
             acc += math.comb(k, i) * coeffs[i]
         coeffs.append(ratio * acc)
     return coeffs
-
-
-def apostol_coeff(nu: int, t: complex) -> complex:
-    """Kernel coefficient A_nu(t): nu!-scaled Taylor coefficient of 1/(t*e^z - 1)."""
-    return apostol_coeff_table(nu, t)[nu]

@@ -5,7 +5,8 @@ scripts/accuracy_scan.py imports it too, so it needs only trigsum and
 mpmath. Without mpmath, reference_sum skips the test that calls it.
 """
 
-from trigsum import TRAITS, pole_order
+from trigsum import TRAITS
+from trigsum.families import pole_order
 
 try:
     import mpmath

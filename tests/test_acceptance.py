@@ -20,13 +20,11 @@ from trigsum import (
     apostol_coeff_table,
     boundary_residues,
     closed_form_value,
-    corollary_value,
     cot_coeff,
     csc_coeff,
     direct_sum,
     residue_at_interior_pole,
     sum_via_residues,
-    theorem_sum,
     validate_params,
 )
 from trigsum.cli import CSV_HEADER, default_offsets, main
@@ -71,8 +69,8 @@ def test_acceptance_02_quarter_shift_combination():
     for d in range(2, 26):
         b = 1.0 / (4 * d)
         for m in range(1, d):
-            cos_part = corollary_value(SumSpec(Family.COS_COT, d, m, b)).value
-            sin_part = corollary_value(SumSpec(Family.SIN_COT, d, m, b)).value
+            cos_part = closed_form_value(SumSpec(Family.COS_COT, d, m, b)).value
+            sin_part = closed_form_value(SumSpec(Family.SIN_COT, d, m, b)).value
             half = m / (2.0 * d)
             combo = cos_pi(half) * cos_part - math.sin(math.pi * half) * sin_part
             assert abs(combo - d) <= 1e-8, (d, m)
@@ -123,7 +121,7 @@ def test_acceptance_04_higher_power_suite():
                         spec = validate_params(SumSpec(family, d, m, b, n))
                     except ParameterError:
                         continue
-                    closed = theorem_sum(spec).value
+                    closed = closed_form_value(spec).value
                     oracle = direct_sum(spec).value
                     assert rel_err(closed, oracle) <= 1e-7, spec
                     checked += 1
@@ -204,7 +202,7 @@ def test_acceptance_06_triple_product_suite():
     for d in (4, 7):
         for b in (0.137, 0.29):
             triple = closed_form_value(SumSpec(Family.COS_CSC_COS, d, 2, b, 1, b)).value
-            single = corollary_value(SumSpec(Family.COS_COT, d, 2, b)).value
+            single = closed_form_value(SumSpec(Family.COS_COT, d, 2, b)).value
             assert rel_err(triple, single) <= 1e-12, (d, b)
     assert time.perf_counter() - start < 10.0
 

@@ -253,6 +253,15 @@ def test_verify_rejects_bad_tol_env(capsys, monkeypatch):
     assert "TRIGSUM_TOL" in err
 
 
+def test_plain_eval_rejects_bad_tol_env(capsys, monkeypatch):
+    # plain eval compares nothing, but it reads the tolerance and refuses a bad one
+    monkeypatch.setenv("TRIGSUM_TOL", "abc")
+    code, out, err = run(capsys, ["eval", "--family", "cos-cot", "--d", "5", "--m", "2",
+                                  "--b", "0.1"])
+    assert (code, out) == (2, "")
+    assert "invalid TRIGSUM_TOL value 'abc'" in err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-0.0"])
 def test_non_positive_tolerance_is_a_usage_error(capsys, monkeypatch, tol):
     for argv in (["verify", "--dmax", "3", "--quiet", "--tol", tol],

@@ -14,12 +14,9 @@ from trigsum import (
     SumSpec,
     closed_form_value,
     conditioning,
-    corollary_value,
     direct_sum,
-    pole_order,
     sum_via_residues,
     term_magnitude_sum,
-    theorem_sum,
     validate_params,
 )
 from trigsum import closed_form, families
@@ -28,7 +25,7 @@ from trigsum.closed_form import _composition_weights, _power_slice
 from trigsum.coefficients import cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import WALK_CACHE_SIZE
+from trigsum.families import WALK_CACHE_SIZE, pole_order, reduced_shifts
 from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row
 from trigsum.residue_engine import _kernels, _numerators, _singular_power
 from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
@@ -38,6 +35,12 @@ from mp_reference import prefix_vanishes, reference_sum
 
 def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(got), abs(want))
+
+
+def multi_index(spec):
+    """The multi-index layer's value at any power, the first included."""
+    spec = validate_params(spec)
+    return closed_form._theorem(spec, reduced_shifts(spec)[0])
 
 
 # --- validation -------------------------------------------------------------
@@ -113,43 +116,36 @@ def test_every_path_refuses_a_non_integer_d_m_or_n(field, value):
 # --- corollary values -------------------------------------------------------
 
 def test_corollary_known_values():
-    assert corollary_value(SumSpec(Family.COS_COT, 2, 1, 0.25)).value == 2.0
-    assert corollary_value(SumSpec(Family.SIN_COT, 2, 1, 0.25)).value == 0.0
-    got = corollary_value(SumSpec(Family.COS_COT, 3, 1, 1 / 6)).value
+    assert closed_form_value(SumSpec(Family.COS_COT, 2, 1, 0.25)).value == 2.0
+    assert closed_form_value(SumSpec(Family.SIN_COT, 2, 1, 0.25)).value == 0.0
+    got = closed_form_value(SumSpec(Family.COS_COT, 3, 1, 1 / 6)).value
     assert got == pytest.approx(3 * math.cos(math.pi / 6), rel=1e-15)
-    got = corollary_value(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25)).value
+    got = closed_form_value(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25)).value
     assert got == pytest.approx(-12.0, rel=1e-12)
-    got = corollary_value(SumSpec(Family.SIN_CSC_ODD, 2, 1, 0.25)).value
+    got = closed_form_value(SumSpec(Family.SIN_CSC_ODD, 2, 1, 0.25)).value
     assert got == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert corollary_value(SumSpec(Family.COS_CSC_2N, 2, 1, 0.25)).value == 0.0
-
-
-def test_corollary_rejects_higher_power_and_wrong_kind():
-    with pytest.raises(ParameterError):
-        corollary_value(SumSpec(Family.COS_COT, 3, 1, 0.1, 2))
-    with pytest.raises(ParameterError):
-        corollary_value(SumSpec(Family.COS_TAN, 3, 1, 0.1))
+    assert closed_form_value(SumSpec(Family.COS_CSC_2N, 2, 1, 0.25)).value == 0.0
 
 
 def test_classical_dispensation_value():
-    assert corollary_value(SumSpec(Family.SIN_COT, 5, 2, 0.0)).value == 1.0
+    assert closed_form_value(SumSpec(Family.SIN_COT, 5, 2, 0.0)).value == 1.0
 
 
 # --- theorem (multi-index) values -------------------------------------------
 
 def test_theorem_n1_matches_corollary_exactly_on_quarter_turn():
     spec = SumSpec(Family.COS_COT, 2, 1, 0.25)
-    assert theorem_sum(spec).value == 2.0
-    assert theorem_sum(spec).value == corollary_value(spec).value
+    assert multi_index(spec).value == 2.0
+    assert multi_index(spec).value == closed_form_value(spec).value
 
 
 def test_theorem_n2_cancellation():
-    got = theorem_sum(SumSpec(Family.COS_COT, 2, 1, 0.25, 2)).value
+    got = closed_form_value(SumSpec(Family.COS_COT, 2, 1, 0.25, 2)).value
     assert abs(got) <= 1e-12
 
 
 def test_theorem_even_cosec_example():
-    got = theorem_sum(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25)).value
+    got = multi_index(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25)).value
     assert got == pytest.approx(-12.0, rel=1e-12)
 
 
@@ -168,8 +164,8 @@ def test_theorem_n1_reduction_random_specs():
             spec = validate_params(SumSpec(family, d, m, b))
         except ParameterError:
             continue
-        t = theorem_sum(spec).value
-        c = corollary_value(spec).value
+        t = multi_index(spec).value
+        c = closed_form_value(spec).value
         assert rel_err(t, c) <= 1e-12, (spec, t, c)
         checked += 1
 
@@ -187,7 +183,7 @@ def test_theorem_imag_residual_bound():
             spec = validate_params(SumSpec(family, d, m, rng.uniform(0.02, 0.98), rng.randint(1, 3)))
         except ParameterError:
             continue
-        out = theorem_sum(spec)
+        out = multi_index(spec)
         assert out.imag_residual <= 1e-9 * max(1.0, abs(out.value))
         checked += 1
 
@@ -206,13 +202,13 @@ def test_slice_cache_cold_and_warm_give_the_same_bits():
                  for m in range(1, d) if not TRAITS[family].odd_m or m % 2]
         for spec in specs:
             _power_slice.cache_clear()
-            cold = theorem_sum(spec)
+            cold = closed_form_value(spec)
             _power_slice.cache_clear()
             for other in specs:
                 if other is not spec:
-                    theorem_sum(other)
+                    closed_form_value(other)
             assert _power_slice.cache_info().currsize == 1
-            warm = theorem_sum(spec)
+            warm = closed_form_value(spec)
             assert _bits(warm) == _bits(cold), spec
 
 
@@ -225,31 +221,31 @@ def test_warm_weights_and_a_cold_slice_give_the_same_bits():
         for spec in specs:
             _power_slice.cache_clear()
             _composition_weights.cache_clear()
-            cold = theorem_sum(spec)
+            cold = closed_form_value(spec)
             _power_slice.cache_clear()
-            theorem_sum(SumSpec(family, d, 1, 0.2, n))
+            closed_form_value(SumSpec(family, d, 1, 0.2, n))
             built = _composition_weights.cache_info().misses
-            warm = theorem_sum(spec)
+            warm = closed_form_value(spec)
             assert _composition_weights.cache_info().misses == built
             assert _bits(warm) == _bits(cold), spec
 
 
 def test_slice_cache_keeps_the_coefficient_cap(monkeypatch):
     spec = SumSpec(Family.COS_CSC_2N, 6, 1, 0.137, 4)   # kernel index 2n - 1 = 7
-    theorem_sum(spec)
+    closed_form_value(spec)
     assert _composition_weights.cache_info().currsize == 1
     monkeypatch.setenv("TRIGSUM_COEFF_CAP", "6")
     with pytest.raises(NumericError, match="order too large"):
-        theorem_sum(spec)
+        closed_form_value(spec)
     # warm weights, cold slice
     with pytest.raises(NumericError, match="order too large"):
-        theorem_sum(SumSpec(Family.COS_CSC_2N, 6, 1, 0.2, 4))
+        closed_form_value(SumSpec(Family.COS_CSC_2N, 6, 1, 0.2, 4))
 
 
 def test_slice_cache_is_bounded():
     for k in range(WALK_CACHE_SIZE + 12):
         spec = SumSpec(Family.COS_COT, 7, 1, 0.01 + k / 1000, 2)
-        theorem_sum(spec)
+        closed_form_value(spec)
         sum_via_residues(spec)
     assert _power_slice.cache_info().currsize == WALK_CACHE_SIZE
     assert _kernels.cache_info().currsize == WALK_CACHE_SIZE
@@ -276,18 +272,18 @@ def test_walk_caches_hold_one_family():
                 _prefix_row.cache_info().currsize,
                 _factor_rows.cache_info().currsize)
 
-    theorem_sum(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
-    theorem_sum(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
+    closed_form_value(SumSpec(Family.COS_CSC_ODD, 7, 1, 0.137, 2))
+    closed_form_value(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
     sum_via_residues(SumSpec(Family.SIN_COT, 7, 1, 0.137, 2))
     assert sizes() == (1, 1, 1, 1, 1, 0, 0, 0)
-    theorem_sum(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
+    closed_form_value(SumSpec(Family.COS_COT, 7, 1, 0.137, 2))
     assert sizes() == (1, 1, 0, 0, 0, 0, 0, 0)
-    theorem_sum(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
+    closed_form_value(SumSpec(Family.COS_COT, 7, 2, 0.2, 3))
     assert sizes() == (2, 2, 0, 0, 0, 0, 0, 0)
     # the weights depend only on (kind, n), so a new d or b reuses them
     built = _composition_weights.cache_info().misses
-    theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
-    theorem_sum(SumSpec(Family.COS_COT, 9, 1, 0.3, 3))
+    closed_form_value(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
+    closed_form_value(SumSpec(Family.COS_COT, 9, 1, 0.3, 3))
     assert _composition_weights.cache_info().misses == built
     sum_via_residues(SumSpec(Family.COS_COT, 8, 3, 0.137, 2))
     # the kernels and the pole distance depend on neither m nor (beyond the pole order) n,
@@ -311,7 +307,7 @@ def test_walk_caches_hold_one_family():
     assert sizes() == (0, 0, 1, 1, 1, 1, 0, 1)
     direct_sum(SumSpec(Family.COS_CSC_COS, 8, 1, 0.137, 1, 0.447))
     assert sizes() == (0, 0, 1, 1, 1, 1, 1, 1)
-    theorem_sum(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
+    closed_form_value(SumSpec(Family.COS_COT, 8, 1, 0.137, 2))
     assert sizes() == (1, 1, 0, 0, 0, 0, 0, 0)
     # the oracle's sums never move the walk: on another family they drop nothing
     direct_sum(SumSpec(Family.SIN_COT, 8, 1, 0.137, 2))
@@ -329,11 +325,11 @@ def test_every_pass_over_a_grid_does_the_same_work(monkeypatch):
     monkeypatch.setattr(closed_form, "enumerate_compositions", counted)
     specs = [spec for spec, _ in grid_cases(POWER_FAMILIES[:2], 5, 3) if spec.n >= 2]
     # end the walk whatever ran before, so the first pass starts cold as well
-    theorem_sum(SumSpec(POWER_FAMILIES[2], 5, 1, 0.137, 2))
+    closed_form_value(SumSpec(POWER_FAMILIES[2], 5, 1, 0.137, 2))
     passes = []
     for _ in range(3):
         made.clear()
-        values = [_bits(theorem_sum(spec)) for spec in specs]
+        values = [_bits(closed_form_value(spec)) for spec in specs]
         passes.append((len(made), values))
     assert passes[0] == passes[1] == passes[2]
     # one enumeration per (family, n) of the grid, not one per d, b or m
@@ -484,7 +480,7 @@ def test_triple_known_value():
 def test_triple_reduces_to_cotangent_corollary_when_shifts_coincide():
     # cosec(x)*cos(x) = cot(x): the b2 = b triple is the first-power cotangent sum
     triple = closed_form_value(SumSpec(Family.COS_CSC_COS, 3, 1, 0.2, 1, 0.2)).value
-    corollary = corollary_value(SumSpec(Family.COS_COT, 3, 1, 0.2)).value
+    corollary = closed_form_value(SumSpec(Family.COS_COT, 3, 1, 0.2)).value
     assert triple == corollary
 
 
@@ -520,24 +516,24 @@ def test_m_reflection():
             cos_lo = SumSpec(Family.COS_COT, d, m, b)
             cos_hi = SumSpec(Family.COS_COT, d, d - m, b)
             assert direct_sum(cos_lo).value == direct_sum(cos_hi).value
-            assert rel_err(corollary_value(cos_lo).value, corollary_value(cos_hi).value) <= 1e-10
+            assert rel_err(closed_form_value(cos_lo).value, closed_form_value(cos_hi).value) <= 1e-10
             sin_lo = SumSpec(Family.SIN_COT, d, m, b)
             sin_hi = SumSpec(Family.SIN_COT, d, d - m, b)
             assert direct_sum(sin_hi).value == -direct_sum(sin_lo).value
-            assert rel_err(corollary_value(sin_hi).value, -corollary_value(sin_lo).value) <= 1e-10
+            assert rel_err(closed_form_value(sin_hi).value, -closed_form_value(sin_lo).value) <= 1e-10
 
 
 def test_shift_periodicity_of_closed_forms():
     even_power = (Family.COS_COT, Family.SIN_COT, Family.SIN_CSC_2N, Family.COS_CSC_2N)
     for family in even_power:
         for b in (0.137, 0.3183, -0.41):
-            v0 = corollary_value(SumSpec(family, 5, 2, b)).value
-            v1 = corollary_value(SumSpec(family, 5, 2, b + 1.0)).value
+            v0 = closed_form_value(SumSpec(family, 5, 2, b)).value
+            v1 = closed_form_value(SumSpec(family, 5, 2, b + 1.0)).value
             assert rel_err(v0, v1) <= 1e-10, (family, b)
     for family in (Family.SIN_CSC_ODD, Family.COS_CSC_ODD):
         for b in (0.137, 0.3183, -0.41):
-            v0 = corollary_value(SumSpec(family, 5, 3, b)).value
-            v2 = corollary_value(SumSpec(family, 5, 3, b + 2.0)).value
+            v0 = closed_form_value(SumSpec(family, 5, 3, b)).value
+            v2 = closed_form_value(SumSpec(family, 5, 3, b + 2.0)).value
             assert rel_err(v0, v2) <= 1e-10, (family, b)
 
 
@@ -583,7 +579,7 @@ def test_first_power_of_every_family_matches_the_reference():
 def test_classical_limit_small_b():
     for d in range(2, 13):
         for m in range(1, d):
-            got = corollary_value(SumSpec(Family.SIN_COT, d, m, 1e-6)).value
+            got = closed_form_value(SumSpec(Family.SIN_COT, d, m, 1e-6)).value
             assert abs(got - (d - 2 * m)) <= 1e-4
 
 
@@ -595,7 +591,7 @@ def test_midpoint_sine_sums_are_exactly_zero():
             for n in (1, 2, 3):
                 spec = SumSpec(family, d, m, 0.137, n)
                 assert direct_sum(spec).value == 0.0
-                assert theorem_sum(spec).value == 0.0
+                assert closed_form_value(spec).value == 0.0
                 assert sum_via_residues(spec).value == 0.0
         for family in (Family.SIN_CSC_COS, Family.SIN_CSC_SIN):
             spec = SumSpec(family, d, m, 0.137, 1, 0.447)
@@ -616,7 +612,7 @@ def test_reference_prefix_zeros_are_exact():
 
 def test_specs_and_values_keep_no_instance_dict():
     spec = SumSpec(Family.COS_COT, 7, 2, 0.137, 2)
-    for obj in (spec, theorem_sum(spec)):
+    for obj in (spec, closed_form_value(spec)):
         assert not hasattr(obj, "__dict__")
     moved = dataclasses.replace(spec, m=3)
     assert moved == SumSpec(Family.COS_COT, 7, 3, 0.137, 2) and spec.m == 2

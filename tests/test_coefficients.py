@@ -8,14 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from trigsum import (
-    apostol_coeff,
-    apostol_coeff_table,
-    bernoulli,
-    coefficient_cap,
-    cot_coeff,
-    csc_coeff,
-)
+from trigsum import apostol_coeff_table, bernoulli, cot_coeff, csc_coeff
+from trigsum.coefficients import coefficient_cap
 from trigsum.errors import NumericError, ParameterError
 
 KNOWN_COT = (
@@ -108,9 +102,9 @@ def _closed_forms(t):
 
 
 def test_apostol_known_values():
-    assert apostol_coeff(0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert apostol_coeff(1, 2.0) == pytest.approx(-2.0, abs=1e-15)
-    assert abs(apostol_coeff(2, 1j) - 0.5j) <= 1e-15
+    assert apostol_coeff_table(0, 2.0)[0] == pytest.approx(1.0, abs=1e-15)
+    assert apostol_coeff_table(1, 2.0)[1] == pytest.approx(-2.0, abs=1e-15)
+    assert abs(apostol_coeff_table(2, 1j)[2] - 0.5j) <= 1e-15
 
 
 def test_apostol_matches_closed_forms_at_random_t():
@@ -159,7 +153,7 @@ def test_apostol_generating_function_partial_sum():
 
 def test_apostol_degenerate_parameter_rejected():
     with pytest.raises(ParameterError, match="degenerate Apostol parameter"):
-        apostol_coeff(2, 1.0)
+        apostol_coeff_table(2, 1.0)
     with pytest.raises(ParameterError, match="degenerate Apostol parameter"):
         apostol_coeff_table(4, 1.0 + 1e-10)
     # just outside the tolerance is accepted
@@ -172,7 +166,7 @@ def test_negative_index_rejected():
     with pytest.raises(ParameterError):
         cot_coeff(-2)
     with pytest.raises(ParameterError):
-        apostol_coeff(-1, 2.0)
+        apostol_coeff_table(-1, 2.0)
 
 
 def test_cap_enforced_and_configurable(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import trigsum
 from trigsum import families
 from trigsum.errors import ParameterError
 from trigsum.families import (TRAITS, Family, FamilyTraits, SumSpec, frequency_fold,
@@ -45,6 +46,27 @@ def test_every_trait_of_every_family_is_pinned():
     assert set(TRAITS) == set(Family) == set(WANT)
     for family, want in WANT.items():
         assert dataclasses.astuple(TRAITS[family]) == want, family
+
+
+# --- the package surface -----------------------------------------------------
+
+# the 21 public names, sorted
+EXPORTS = (
+    "Family", "NumericError", "POWER_FAMILIES", "ParameterError", "RESIDUE_FAMILIES", "SumSpec",
+    "SumValue", "TRAITS", "__version__", "apostol_coeff_table", "bernoulli", "boundary_residues",
+    "closed_form_value", "conditioning", "cot_coeff", "csc_coeff", "direct_sum",
+    "residue_at_interior_pole", "sum_via_residues", "term_magnitude_sum", "validate_params",
+)
+
+
+def test_package_exports():
+    # three paths with one entry each, the tables `trigsum coeffs` prints, the
+    # family catalog and the errors; the layers' helpers stay in their modules
+    assert sorted(trigsum.__all__) == list(EXPORTS)
+    assert all(hasattr(trigsum, name) for name in trigsum.__all__)
+    bound = {}
+    exec("from trigsum import *", bound)
+    assert {name for name in bound if name != "__builtins__"} == set(EXPORTS)
 
 
 # --- the validation mark -----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigsum import (
+from trigsum.multiindex import (
     CompositionTuple,
     cot_coeff_product,
     csc_coeff_product,

@@ -11,12 +11,11 @@ from trigsum import (
     SumSpec,
     conditioning,
     direct_sum,
-    pole_order,
     term_magnitude_sum,
     validate_params,
 )
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import WALK_CACHE_SIZE, enter_walk
+from trigsum.families import WALK_CACHE_SIZE, enter_walk, pole_order
 from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row, _terms
 from trigsum.trig import (cos_pi, cos_pi_ratio, cot_pi, csc_pi, sec_pi, sin_pi, sin_pi_ratio,
                           tan_pi)

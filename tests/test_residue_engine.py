@@ -17,27 +17,22 @@ from trigsum import (
     RESIDUE_FAMILIES,
     TRAITS,
     Family,
-    LaurentSeries,
     SumSpec,
     apostol_coeff_table,
     boundary_residues,
     closed_form_value,
     conditioning,
     direct_sum,
-    expand_factor,
-    pole_order,
     residue_at_interior_pole,
-    series_mul,
-    series_pow,
     sum_via_residues,
-    theorem_sum,
     validate_params,
 )
 from trigsum.cli import grid_cases
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import frequency_fold, reduced_shifts
+from trigsum.families import frequency_fold, pole_order, reduced_shifts
 from trigsum import residue_engine
-from trigsum.residue_engine import _integrand, _kernels, _numerators, _singular_power
+from trigsum.residue_engine import (LaurentSeries, _integrand, _kernels, _numerators, _singular_power,
+                                    expand_factor, series_mul, series_pow)
 from trigsum.trig import QUARTER_TURNS, phase, quarter_turns
 
 
@@ -312,7 +307,7 @@ def test_interior_residue_matches_multi_index_path():
             via_residue = (-(math.pi * 1j * d) * res).real
         else:
             via_residue = (-(math.pi * d) * res).real
-        want = theorem_sum(spec).value
+        want = closed_form_value(spec).value
         assert abs(via_residue - want) <= 1e-10 * max(1.0, abs(want)), spec
         checked += 1
 
