@@ -24,7 +24,10 @@ both kinds of row are kept for the family walk (families.enter_walk).
 A prefix row depends on the prefix, its frequency (m or 2m), d and the
 index range; the singular factors, taken at the first power, depend
 only on (family, d, b, b2). So a sweep over m and n evaluates the
-factors d times per (d, b, b2), and the prefixes d times per (d, m).
+factors d times per (d, b, b2), and the prefixes at most d times per
+(d, m): from d = 9 on a prefix row takes the ratio for j <= d/2 only
+and fills the rest by the exact reflection j -> d - j, and the doubled
+range repeats the first d entries (_prefix_row).
 The sums form prefix * factor ** p, or (prefix * first) * second for
 the product families, with the float operations of the plain term
 loop in its order, so cold and warm calls give the same bits. The sums
@@ -89,11 +92,45 @@ def _reduced_shift(beta: float, period: int) -> float:
     return math.remainder(beta, float(period))
 
 
+# the least d whose prefix rows are built by reflection. On a row built cold
+# after the closed form's work, the reflection's fixed cost (a second list,
+# a slice and an iterator) was 1-2 us, up to 6 us for the first reflected
+# row of a walk, while each ratio call it saves was 0.1-0.3 us: at d = 7
+# and 8 such rows took longer than the direct loop
+_REFLECT_MIN_D = 9
+
+
 @walk_cache
 def _prefix_row(prefix: str, num: int, d: int, start: int, stop: int) -> list[float]:
-    """cos or sin(pi num j / d) for j in range(start, stop); callers only read it."""
+    """cos or sin(pi num j / d) for j in range(start, stop); callers only read it.
+
+    start is 0 or 1, and stop is d, or 2d for an even num. From
+    d = _REFLECT_MIN_D on, the ratio is called for j <= d/2 only, and entry
+    d - j is the exact reflection of entry j: num (d - j) = num d - num j,
+    num d is 0 or d mod 2d, and the ratio folds its numerator mod 2d. So
+    entry d - j is entry j times cos(pi num) for cos, or times -cos(pi num)
+    for sin. A zero keeps its sign (a cos zero is always 0.0), except that
+    an odd num swaps the sin zeros 0.0 (num j = 0 mod 2d) and -0.0
+    (num j = d mod 2d). An even num repeats with period d, which fills the
+    doubled range.
+    """
     ratio = cos_pi_ratio if prefix == "cos" else sin_pi_ratio
-    return [ratio(num * j, d) for j in range(start, stop)]
+    if d < _REFLECT_MIN_D:
+        row = [ratio(num * j, d) for j in range(start, d)]
+    else:
+        mid = d // 2
+        row = [ratio(num * j, d) for j in range(start, mid + 1)]
+        # entries d - mid - 1 down to 1, the sources of entries mid + 1 .. d - 1
+        sources = reversed(row[1 - start:d - mid - start])
+        if (prefix == "cos") == (num % 2 == 1):
+            row += [-x or x for x in sources]
+        elif prefix == "sin":
+            row += [x or -x for x in sources]
+        else:
+            row += sources
+    if stop > d:
+        row += ([ratio(0, d)] if start else []) + row
+    return row
 
 
 @walk_cache

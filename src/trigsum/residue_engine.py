@@ -138,18 +138,26 @@ def expand_factor(kind: str, order: int) -> LaurentSeries:
     return LaurentSeries(-1, coeffs, order)
 
 
+# the refusal of each family the residue engine does not cover, worded once
+_UNCOVERED = {family: f"family {family.value} is not covered by the residue engine"
+              for family, traits in TRAITS.items() if not traits.supports_residue}
+
+
+def _covered(spec: SumSpec) -> bool:
+    return TRAITS[spec.family].supports_residue and not is_classical(spec)
+
+
 def residue_gap(spec: SumSpec) -> str | None:
     """Why no integrand carries spec's residue, or None when one does.
 
     The classical point b = 0 of sin-cot has none: there the interior pole
     z = 1 - b merges with the j = 0 boundary pole.
     """
-    if not TRAITS[spec.family].supports_residue:
-        return f"family {spec.family.value} is not covered by the residue engine"
-    if is_classical(spec):
-        return ("the classical point b = 0 of sin-cot is not covered by the residue "
-                "engine: its interior pole merges with the j = 0 boundary pole")
-    return None
+    if _covered(spec):
+        return None
+    return _UNCOVERED.get(spec.family, "the classical point b = 0 of sin-cot is not covered "
+                          "by the residue engine: its interior pole merges with the j = 0 "
+                          "boundary pole")
 
 
 def _integrand(spec: SumSpec) -> tuple[Family, int, float, float]:
@@ -158,10 +166,11 @@ def _integrand(spec: SumSpec) -> tuple[Family, int, float, float]:
     The residue of spec is constant times that integrand's. A csc x cos/sin
     product is sin(pi (b2 - b + r/2)) times the first-power cot integrand
     at (d, m, b), r the quarter turns taking sin to its second factor.
+    residue_gap only words a refusal here, so a caller that asked it first
+    does not pay for it twice.
     """
-    gap = residue_gap(spec)
-    if gap is not None:
-        raise ParameterError(gap)
+    if not _covered(spec):
+        raise ParameterError(residue_gap(spec))
     traits = TRAITS[spec.family]
     b, b2 = reduced_shifts(spec)
     if traits.kind == "power":

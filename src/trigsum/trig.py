@@ -7,9 +7,17 @@ folds its argument into a small interval around zero first, so values
 keep full relative accuracy next to zeros and poles, and lattice points
 produce exact zeros (``sin_pi(7.0) == 0.0``, not 8.6e-16).
 
+Each call reduces its argument once, r = remainder(x, 2), which is
+exact. Sine and cosine both come from r through one fold (_sin_folded):
+cos(pi*r) = sin(pi*(1/2 - |r|)), whose argument is already reduced, and
+the subtraction is exact for the magnitudes that matter (|r| >= 1/4)
+and harmless below that.
+
 The reciprocal functions guard their poles: an argument closer than
 1e-12 radians to a pole raises NumericError rather than returning a
-huge, meaningless value.
+huge, meaningless value. The guard reads the same r: the distance to
+the poles is |remainder(r, 1)|, or |remainder(r - 1/2, 1)| for tan and
+sec, where r - 1/2 is exact, so it is the exact distance from x.
 """
 
 import math
@@ -20,9 +28,8 @@ from .errors import NumericError
 POLE_TOL = 1e-12
 
 
-def sin_pi(x: float) -> float:
-    """sin(pi*x), folded so the result is exact at integers."""
-    r = math.remainder(x, 2.0)
+def _sin_folded(r: float) -> float:
+    """sin(pi*r) for r in [-1, 1], folded so the result is exact at integers."""
     s = 1.0
     if r < 0.0:
         r = -r
@@ -32,11 +39,14 @@ def sin_pi(x: float) -> float:
     return s * math.sin(math.pi * r)
 
 
+def sin_pi(x: float) -> float:
+    """sin(pi*x), folded so the result is exact at integers."""
+    return _sin_folded(math.remainder(x, 2.0))
+
+
 def cos_pi(x: float) -> float:
     """cos(pi*x), folded so the result is exact at integers."""
-    # cos(pi*u) = sin(pi*(1/2 - |u|)); the subtraction is exact for the
-    # magnitudes that matter (|u| >= 1/4) and harmless below that.
-    return sin_pi(0.5 - abs(math.remainder(x, 2.0)))
+    return _sin_folded(0.5 - abs(math.remainder(x, 2.0)))
 
 
 def dist_to_int(x: float) -> float:
@@ -54,40 +64,44 @@ def dist_to_odd(x: float) -> float:
     return abs(math.remainder(x - 1.0, 2.0))
 
 
-def _guard(dist_half_turns: float, name: str, x: float) -> None:
-    if math.pi * dist_half_turns <= POLE_TOL:
-        raise NumericError(
-            f"singular term: {name} argument {x!r} (half turns) is within "
-            f"{POLE_TOL:g} radians of a pole"
-        )
+def _pole_error(name: str, x: float) -> NumericError:
+    return NumericError(
+        f"singular term: {name} argument {x!r} (half turns) is within "
+        f"{POLE_TOL:g} radians of a pole"
+    )
 
 
 def cot_pi(x: float) -> float:
     """cot(pi*x); raises NumericError within 1e-12 radians of a pole."""
-    _guard(dist_to_int(x), "cot", x)
-    return cos_pi(x) / sin_pi(x)
+    r = math.remainder(x, 2.0)
+    if math.pi * abs(math.remainder(r, 1.0)) <= POLE_TOL:
+        raise _pole_error("cot", x)
+    return _sin_folded(0.5 - abs(r)) / _sin_folded(r)
 
 
 def csc_pi(x: float) -> float:
     """cosec(pi*x); raises NumericError within 1e-12 radians of a pole."""
-    _guard(dist_to_int(x), "cosec", x)
-    return 1.0 / sin_pi(x)
+    r = math.remainder(x, 2.0)
+    if math.pi * abs(math.remainder(r, 1.0)) <= POLE_TOL:
+        raise _pole_error("cosec", x)
+    return 1.0 / _sin_folded(r)
 
 
 def tan_pi(x: float) -> float:
     """tan(pi*x); raises NumericError within 1e-12 radians of a pole."""
-    _guard(dist_to_half_odd(x), "tan", x)
-    return sin_pi(x) / cos_pi(x)
+    r = math.remainder(x, 2.0)
+    if math.pi * abs(math.remainder(r - 0.5, 1.0)) <= POLE_TOL:
+        raise _pole_error("tan", x)
+    return _sin_folded(r) / _sin_folded(0.5 - abs(r))
 
 
 def sec_pi(x: float) -> float:
     """sec(pi*x); raises NumericError within 1e-12 radians of a pole."""
-    _guard(dist_to_half_odd(x), "sec", x)
-    return 1.0 / cos_pi(x)
+    r = math.remainder(x, 2.0)
+    if math.pi * abs(math.remainder(r - 0.5, 1.0)) <= POLE_TOL:
+        raise _pole_error("sec", x)
+    return 1.0 / _sin_folded(0.5 - abs(r))
 
-
-_SIN_COS = (sin_pi, cos_pi)
-_CSC_SEC = (csc_pi, sec_pi)
 
 # q of each function written as sin, csc or cot of pi (x + q/2); tan is
 # minus the cot of x + 1/2
@@ -98,9 +112,16 @@ def quarter_turns(x: float, q: int, reciprocal: bool = False) -> float:
     """sin(pi (x + q/2)), or its reciprocal, with the q quarter turns taken exactly.
 
     The integer q picks +-sin/+-cos (or +-csc/+-sec) of x, so no float
-    q/2 is added to x and the pole guards see x itself.
+    q/2 is added to x and the pole guards see x itself: the values and
+    refusals are those of sin_pi, cos_pi, csc_pi and sec_pi at x.
     """
-    value = (_CSC_SEC if reciprocal else _SIN_COS)[q % 2](x)
+    r = math.remainder(x, 2.0)
+    odd = q % 2
+    if reciprocal and math.pi * abs(math.remainder(r - 0.5 * odd, 1.0)) <= POLE_TOL:
+        raise _pole_error("sec" if odd else "cosec", x)
+    value = _sin_folded(0.5 - abs(r) if odd else r)
+    if reciprocal:
+        value = 1.0 / value
     return -value if q % 4 >= 2 else value
 
 
@@ -109,7 +130,8 @@ def phase(x: float) -> complex:
 
     Exact at quarter-turn lattice points, e.g. phase(-0.5) == -1j.
     """
-    return complex(cos_pi(x), sin_pi(x))
+    r = math.remainder(x, 2.0)
+    return complex(_sin_folded(0.5 - abs(r)), _sin_folded(r))
 
 
 def sin_pi_ratio(num: int, den: int) -> float:

@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from trigsum import cli, families
+from trigsum import cli, families, residue_engine
 from trigsum.cli import CSV_HEADER, PATH_NAMES, evaluate_case, grid_cases, main
 from trigsum.closed_form import closed_form_value
 from trigsum.coefficients import bernoulli
-from trigsum.errors import NumericError
+from trigsum.errors import NumericError, ParameterError
 from trigsum.families import Family, SumSpec, validate_params
 
 from mp_reference import reference_sum
@@ -144,6 +144,34 @@ def test_grid_cases_are_not_validated_again(monkeypatch):
         for spec, b_index in cases:
             evaluate_case(spec, b_index, PATH_NAMES, 1e-8)
     assert checked == []
+
+
+def test_a_verify_case_asks_for_the_residue_gap_once(monkeypatch):
+    classical = validate_params(SumSpec(Family.SIN_COT, 5, 2, 0.0))
+    cases = grid_cases(tuple(Family), 5, 2) + [(classical, 0)]
+    asked = []
+    residue_gap = residue_engine.residue_gap
+
+    def counting(spec):
+        asked.append(spec)
+        return residue_gap(spec)
+
+    monkeypatch.setattr(residue_engine, "residue_gap", counting)
+    monkeypatch.setattr(cli, "residue_gap", counting)
+    for spec, b_index in cases:
+        asked.clear()
+        report = evaluate_case(spec, b_index, PATH_NAMES, 1e-8)
+        assert asked == [spec], spec
+        assert ("residue" in report.values) == (residue_gap(spec) is None)
+    # the refusals keep their words
+    with pytest.raises(ParameterError) as uncovered:
+        residue_engine.sum_via_residues(SumSpec(Family.COS_TAN, 5, 2, 0.17))
+    assert str(uncovered.value) == "family cos-tan is not covered by the residue engine"
+    with pytest.raises(ParameterError) as merged:
+        residue_engine.sum_via_residues(classical)
+    assert str(merged.value) == (
+        "the classical point b = 0 of sin-cot is not covered by the residue engine: "
+        "its interior pole merges with the j = 0 boundary pole")
 
 
 def test_result_records_keep_their_fields():

@@ -214,10 +214,10 @@ def oracle_bits(spec):
 
 
 def walk_specs(family):
-    """Valid specs over m, n and three shifts at d = 4 and 7, in verify's order."""
+    """Valid specs over m, n and three shifts at d = 4, 7 and 12, in verify's order."""
     traits = TRAITS[family]
     specs = []
-    for d in (4, 7):
+    for d in (4, 7, 12):
         for m in range(1, d, 2 if traits.odd_m else 1):
             for b in (0.137, 0.2500001, 1e9 + 0.3):
                 for n in ((1, 2) if traits.supports_power else (1,)):
@@ -228,6 +228,26 @@ def walk_specs(family):
                         pass
     assert specs
     return specs
+
+
+def test_prefix_rows_match_the_direct_loop_entry_by_entry():
+    # every row the families request, built by the reflection from d = 9 on;
+    # repr tells the signed zeros apart
+    requests = set()
+    for family, traits in TRAITS.items():
+        span = 2 if traits.kind == "double" else 1
+        for d in range(2, 65):
+            for m in range(1, d, 2 if traits.odd_m else 1):
+                requests.add((traits.prefix, m if traits.odd_m else 2 * m, d,
+                              traits.oracle_start, span * d))
+    assert {(p, num % 2, start, stop // d) for p, num, d, start, stop in requests} == {
+        ("cos", 0, 0, 1), ("cos", 0, 0, 2), ("cos", 1, 0, 1), ("sin", 0, 1, 1),
+        ("sin", 0, 1, 2), ("sin", 1, 1, 1), ("sin", 0, 0, 1)}
+    for prefix, num, d, start, stop in requests:
+        ratio = cos_pi_ratio if prefix == "cos" else sin_pi_ratio
+        want = [repr(ratio(num * j, d)) for j in range(start, stop)]
+        got = _prefix_row.__wrapped__(prefix, num, d, start, stop)
+        assert list(map(repr, got)) == want, (prefix, num, d, start, stop)
 
 
 @pytest.mark.parametrize("family", list(Family))
