@@ -39,11 +39,14 @@ multi-index expression: a sum over composition tuples (js, mu, nu) of
 
 negated at the end. The phase pair (x1, x2) encodes (m, d, b); the
 primed pair is its complex conjugate; the cos-prefixed families take
-the minus combination and one extra factor of i. Accumulation is
-complex; the imaginary part must come out as noise and is reported as
-the residual, never silently dropped.
+the minus combination and one extra factor of i. The second branch is
+the conjugate of the first, term by term: conjugating the first turns
+x1, x2 into x1', x2' and i^e into (-1)^e i^e, and (-1)^e is the sign
+the second branch carries ((-1)^{mu+nu}, negated with the extra i). So
+each term is 2 Re of its first branch, and only that branch is formed;
+the sum is accumulated in real arithmetic and no imaginary part exists.
 
-Only x1, x1' and m^mu/mu! depend on m, and only the kernel and the
+Only x1 and m^mu/mu! depend on m, and only the kernel and the
 powers of d depend on (d, b). The exact tuple weights are summed once
 per (mu, nu) into composition weights, which depend only on the shape
 of the sum (cot or csc, and the pole order); the rest is folded into a
@@ -71,7 +74,6 @@ from .families import (
     FamilyTraits,
     SumSpec,
     SumValue,
-    as_sum_value,
     enter_walk,
     frequency_fold,
     is_classical,
@@ -87,7 +89,7 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def _real_value(x: float) -> SumValue:
-    return SumValue(x + 0.0, 0.0, "closed-form")
+    return SumValue(x + 0.0, "closed-form")
 
 
 def _cot_sum(prefix: str, d: int, s: int, b: float, k: int) -> float:
@@ -151,55 +153,54 @@ def _composition_weights(kind: str, p: int) -> tuple[tuple[int, int, float], ...
 
 
 @walk_cache
-def _power_slice(
-    family: Family, d: int, b: float, n: int
-) -> tuple[tuple[int, complex, complex], ...]:
+def _power_slice(family: Family, d: int, b: float, n: int) -> tuple[tuple[int, complex], ...]:
     """The frequency-free part of _theorem for one (family, d, b, n).
 
-    One entry (mu, G, H) per (mu, nu) pair of the composition sum: its
+    One entry (mu, G) per (mu, nu) pair of the composition sum: its
     composition weight (see _composition_weights), times the powers of i
-    and 2, d^{nu+1}/nu! and the kernel coefficient A_nu at x2 (G) or at
-    its conjugate, with the combination sign (H). The value at frequency
-    m is -sum m^mu/mu! * (x1*G + x1'*H). The pairs are not summed over
-    nu here: that reorders the cancellation between them.
+    and 2, d^{nu+1}/nu! and the kernel coefficient A_nu at x2. The value
+    at frequency m is -sum m^mu/mu! * 2 Re(x1*G): the second branch is
+    the conjugate of x1*G, so neither the kernel at x2' nor the
+    combination sign is built. The pairs are not summed over nu here:
+    that reorders the cancellation between them.
     """
     traits = TRAITS[family]
     odd = traits.odd_m
     p = pole_order(family, n)
     kernel = apostol_coeff_table(p - 1, phase(-2.0 * d * b))
-    kernel_c = apostol_coeff_table(p - 1, phase(2.0 * d * b))
-    cos_prefix = traits.prefix == "cos"
-    sign = -1.0 if cos_prefix else 1.0
-    extra_i = 1 if cos_prefix else 0
+    extra_i = 1 if traits.prefix == "cos" else 0
     out = []
     for mu, nu, w in _composition_weights(traits.shift_kind, p):
         ip = _I_POWERS[(mu + nu + extra_i) % 4]
         two = 2.0 ** (nu if odd else mu + nu)
         c = ip * two * (d ** (nu + 1) / math.factorial(nu)) * w
-        out.append((mu, c * kernel[nu], c * sign * (-1.0) ** (mu + nu) * kernel_c[nu]))
+        out.append((mu, c * kernel[nu]))
     return tuple(out)
 
 
 def _theorem(spec: SumSpec, b: float) -> SumValue:
     """The multi-index value of a validated power-family spec whose shift, reduced, is b.
 
-    Cold and warm calls take the same arithmetic.
+    It adds m^mu/mu! * 2 Re(x1*G) over the slice in real arithmetic: the
+    second branch is the conjugate of x1*G (see the module docstring), so
+    the pair sums to twice its real part. Cold and warm calls take the
+    same arithmetic.
     """
     enter_walk(spec.family)
     traits = TRAITS[spec.family]
     if is_classical(spec):
-        return SumValue(float(spec.d - 2 * spec.m), 0.0, "multi-index")
+        return SumValue(float(spec.d - 2 * spec.m), "multi-index")
     m, fold_sign = frequency_fold(spec)
     if m is None:
-        return SumValue(0.0, 0.0, "multi-index")
+        return SumValue(0.0, "multi-index")
     # cached weights and slices skip the coefficient calls, so the cap is checked here
     check_index(pole_order(spec.family, spec.n) - 1, "apostol_coeff")
     x1 = phase(-m * (b - 1.0) if traits.odd_m else -2.0 * m * b)
-    x1c = x1.conjugate()
-    acc = 0j
-    for mu, g, h in _power_slice(spec.family, spec.d, b, spec.n):
-        acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
-    return as_sum_value(complex(-fold_sign * acc.real, -fold_sign * acc.imag), "multi-index")
+    acc = 0.0
+    for mu, g in _power_slice(spec.family, spec.d, b, spec.n):
+        zr = (x1 * g).real
+        acc += (m ** mu / math.factorial(mu)) * (zr + zr)
+    return SumValue(-fold_sign * acc + 0.0, "multi-index")
 
 
 def closed_form_value(spec: SumSpec) -> SumValue:

@@ -18,13 +18,10 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .trig import dist_to_int, dist_to_odd
 
 EPS_EXCL = 1e-8
-
-# residual above this is a hard failure; the tested bound is 1e-9
-IMAG_RESIDUAL_LIMIT = 1e-6
 
 
 class Family(str, Enum):
@@ -138,27 +135,15 @@ class SumSpec:
 # three times as long to build
 @dataclass(slots=True)
 class SumValue:
-    """An evaluated sum: real value, discarded imaginary magnitude, path."""
-    value: float
-    imag_residual: float
-    path: str
+    """An evaluated sum: its real value and the path that produced it.
 
-
-def as_sum_value(value: complex, path: str) -> SumValue:
-    """Accept a complex accumulation as a real result, or refuse it.
-
-    The imaginary part must be numerical noise; a residual above
-    IMAG_RESIDUAL_LIMIT relative to the real part means conditioning
-    loss or a transcription fault and is raised, never truncated.
+    Every path computes the real sum in real arithmetic. The oracle adds
+    real terms; the closed form above n = 1 and the residue path take one
+    branch of the residue, since the other is its exact conjugate, and
+    keep 2 Re or 2 Im of it. So no imaginary part is formed to report.
     """
-    residual = abs(value.imag)
-    real = value.real + 0.0  # normalize -0.0
-    if residual > IMAG_RESIDUAL_LIMIT * max(1.0, abs(real)):
-        raise NumericError(
-            f"imaginary residual too large: |Im| = {residual:.3e} "
-            f"vs |Re| = {abs(real):.3e} on path {path}"
-        )
-    return SumValue(real, residual, path)
+    value: float
+    path: str
 
 
 def reduced_shifts(spec: SumSpec) -> tuple[float, float | None]:

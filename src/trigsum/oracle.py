@@ -180,7 +180,7 @@ def direct_sum(spec: SumSpec) -> SumValue:
         t = acc + y
         comp = (t - acc) - y
         acc = t
-    return SumValue(acc + 0.0, 0.0, "oracle")
+    return SumValue(acc + 0.0, "oracle")
 
 
 def term_magnitude_sum(spec: SumSpec) -> float:

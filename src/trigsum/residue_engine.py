@@ -9,21 +9,30 @@ to zero, which pins the sum of interest to the single interior residue:
     sum = -(pi*d)   * Res(f, 1-b)   for sin-prefixed families,
 
 while the boundary residues at z = j/d reproduce the individual terms.
+The integrand has two branches, x1 e^{aw} times the kernel
+1/(t e^{cw} - 1) and x1' e^{-aw} times the kernel at t' and -c (a and
+c imaginary, x1' and t' the conjugate phases), added under the sin
+prefix and subtracted under the cos prefix. Every input of the second
+is the conjugate of the first's, the cot/csc coefficients being real,
+and complex +, * and integer powers commute with conjugation, so the
+second branch's residue is the exact conjugate of the first's. The
+residue is therefore 2 Re (sin) or 2i Im (cos) of the first branch's,
+and only that branch is formed.
+
 The interior residue is the w^{-1} coefficient of the local series in
-w = z - (1-b), and only that coefficient is formed: per kernel branch it
-is the sum over deg < 0 of (exp * cot^p)_deg * kernel_{-1-deg}, which
-needs the exponential and the kernel through w^(p-1) and the cot/csc
-power through w^-1 (p the pole order). Only the exponential numerator
+w = z - (1-b), and only that coefficient is formed: it is x1 times the
+sum over deg < 0 of (exp * cot^p)_deg * kernel_{-1-deg}, which needs
+the exponential and the kernel through w^(p-1) and the cot/csc power
+through w^-1 (p the pole order). Only the exponential numerator
 depends on m. The cot/csc power depends on neither d, b nor m, its
 product with the exponential (the numerator row) only on (kind, p, m),
-and the kernel 1/(t e^{cw} - 1) of each branch only on (p, d, b), so
-all three are kept for the family walk (families.enter_walk), as the
-closed form keeps its composition weights and slices: a sweep over m
-builds each kernel once per (p, d, b) and each numerator row once per
-(p, m), and a warm call pays only for the phases and one p-term dot
-product per branch. b enters only through phases (the constant x1 and
-the kernel's t), so it is reduced by its period first and the phases
-stay accurate at large shifts.
+and the kernel only on (p, d, b), so all three are kept for the family
+walk (families.enter_walk), as the closed form keeps its composition
+weights and slices: a sweep over m builds the kernel once per
+(p, d, b) and the numerator row once per (p, m), and a warm call pays
+only for the phase x1 and one p-term dot product. b enters only
+through phases (x1 and the kernel's t), so it is reduced by its period
+first and the phases stay accurate at large shifts.
 
 The four csc x cos/sin product families are taken through the
 first-power cot integrand (_integrand), by the identity the closed form
@@ -43,7 +52,6 @@ from .families import (
     Family,
     SumSpec,
     SumValue,
-    as_sum_value,
     enter_walk,
     frequency_fold,
     is_classical,
@@ -186,67 +194,60 @@ def _singular_power(kind: str, pole_order: int) -> LaurentSeries:
     return series_pow(expand_factor(kind, pole_order - 2), pole_order)
 
 
-def _kernel(p: int, t: complex, scale: complex) -> tuple[complex, ...]:
-    """One branch's kernel sum A_nu(t) (scale w)^nu / nu!, through w^(p-1)."""
-    table = apostol_coeff_table(p - 1, t)
+@walk_cache
+def _kernels(p: int, d: int, b: float) -> tuple[complex, ...]:
+    """The kernel sum A_nu(t) (scale w)^nu / nu! at (d, b), through w^(p-1).
+
+    t = phase(-2db) and the scale is 2 pi i d. The second branch's kernel,
+    at the conjugates of both, is the conjugate of this one and is not
+    built. It depends neither on m, nor on n beyond the pole order p.
+    """
+    table = apostol_coeff_table(p - 1, phase(-2.0 * d * b))
+    scale = 2j * math.pi * d
     return tuple([table[k] * scale ** k / math.factorial(k) for k in range(p)])
 
 
 @walk_cache
-def _kernels(p: int, d: int, b: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Both branches' kernels at (d, b), through w^(p-1).
+def _numerators(kind: str, p: int, exp_coeff: complex) -> tuple[complex, ...]:
+    """The row of exp(exp_coeff w) * the cot/csc power, at w^-p..w^-1.
 
-    The first has t = phase(-2db) and scale 2 pi i d, the second their
-    conjugates. Neither depends on m, nor on n beyond the pole order p.
-    """
-    return (_kernel(p, phase(-2.0 * d * b), 2j * math.pi * d),
-            _kernel(p, phase(2.0 * d * b), -2j * math.pi * d))
-
-
-@walk_cache
-def _numerators(kind: str, p: int, exp_coeff: complex) -> tuple[tuple[complex, ...], ...]:
-    """Both branches' rows of exp(+-exp_coeff w) * the cot/csc power, at w^-p..w^-1.
-
-    The first branch takes exp_coeff, the second its negative. Each
-    coefficient is accumulated in ascending index, as series_mul does.
-    They depend only on the kind, the pole order and m.
+    The second branch's row, at -exp_coeff, is the conjugate of this one
+    and is not built. Each coefficient is accumulated in ascending index,
+    as series_mul does. The row depends only on the kind, the pole order
+    and m.
     """
     singular = _singular_power(kind, p).coeffs
-    rows = []
-    for c in (exp_coeff, -exp_coeff):
-        exp = [c ** k / math.factorial(k) for k in range(p)]
-        row = []
-        for i in range(p):
-            product = 0j  # (exp * singular) at w^(i-p)
-            for k in range(i + 1):
-                product += exp[k] * singular[i - k]
-            row.append(product)
-        rows.append(tuple(row))
-    return tuple(rows)
+    exp = [exp_coeff ** k / math.factorial(k) for k in range(p)]
+    row = []
+    for i in range(p):
+        product = 0j  # (exp * singular) at w^(i-p)
+        for k in range(i + 1):
+            product += exp[k] * singular[i - k]
+        row.append(product)
+    return tuple(row)
 
 
 def _interior_residue(family: Family, p: int, d: int, m: int, b: float) -> complex:
     """The w^{-1} coefficient at z = 1-b of a power family's integrand of pole order p.
 
-    Per branch it is the dot product of the numerator row (see
-    _numerators) with the kernel's w^(p-1)..w^0, taken in ascending index.
+    The first branch's coefficient is z = x1 * (row . kernel), the dot
+    product of the numerator row (see _numerators) with the kernel's
+    w^(p-1)..w^0, taken in ascending index. The second branch is its
+    conjugate, added (sin prefix) or subtracted (cos prefix), so the
+    residue is 2 Re z or 2i Im z.
     """
     traits = TRAITS[family]
     theta = m * (b - 1.0) if traits.odd_m else 2.0 * m * b
-    x1 = phase(-theta)
-    x1c = x1.conjugate()
     exp_coeff = (1j if traits.odd_m else 2j) * math.pi * m
     # warm kernels skip the coefficient call, so the cap is checked here
     check_index(p - 1, "apostol_coeff")
-    residues = []
-    for row, kernel in zip(_numerators(traits.shift_kind, p, exp_coeff), _kernels(p, d, b)):
-        acc = 0j
-        for r, k in zip(row, reversed(kernel)):
-            acc += r * k
-        residues.append(acc)
-    plus, minus = residues
-    second_phase = -x1c if traits.prefix == "cos" else x1c
-    return x1 * plus + second_phase * minus
+    acc = 0j
+    for r, k in zip(_numerators(traits.shift_kind, p, exp_coeff), reversed(_kernels(p, d, b))):
+        acc += r * k
+    z = phase(-theta) * acc
+    if traits.prefix == "cos":
+        return complex(0.0, z.imag + z.imag)
+    return complex(z.real + z.real, 0.0)
 
 
 def residue_at_interior_pole(spec: SumSpec) -> complex:
@@ -288,8 +289,12 @@ def sum_via_residues(spec: SumSpec) -> SumValue:
     enter_walk(spec.family)
     m, fold_sign = frequency_fold(spec)
     if m is None:
-        return SumValue(0.0, 0.0, "residue")
+        return SumValue(0.0, "residue")
     d = spec.d
-    scale = -(math.pi * 1j * d) if TRAITS[family].prefix == "cos" else complex(-(math.pi * d))
-    value = constant * (scale * _interior_residue(family, p, d, m, b))
-    return as_sum_value(complex(fold_sign * value.real, fold_sign * value.imag), "residue")
+    residue = _interior_residue(family, p, d, m, b)
+    # -(pi i d) * 2i Im z for the cos prefix, -(pi d) * 2 Re z for the sin prefix
+    if TRAITS[family].prefix == "cos":
+        value = (math.pi * d) * residue.imag
+    else:
+        value = -(math.pi * d) * residue.real
+    return SumValue(fold_sign * (constant * value) + 0.0, "residue")

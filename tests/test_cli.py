@@ -182,10 +182,10 @@ def test_result_records_keep_their_fields():
     assert dataclasses.replace(report, status="fail").status == "fail"
     assert report.status == "pass"
     value = closed_form_value(spec)
-    assert tuple(f.name for f in dataclasses.fields(value)) == ("value", "imag_residual", "path")
-    assert repr(value) == f"SumValue(value={value.value!r}, imag_residual=0.0, path='closed-form')"
+    assert tuple(f.name for f in dataclasses.fields(value)) == ("value", "path")
+    assert repr(value) == f"SumValue(value={value.value!r}, path='closed-form')"
     moved = dataclasses.replace(value, value=1.5)
-    assert (moved.value, moved.imag_residual, moved.path) == (1.5, 0.0, "closed-form")
+    assert (moved.value, moved.path) == (1.5, "closed-form")
 
 
 def batch_verify(dmax, nmax, tol, quiet):

@@ -22,13 +22,13 @@ from trigsum import (
 from trigsum import closed_form, families
 from trigsum.cli import grid_cases
 from trigsum.closed_form import _composition_weights, _power_slice
-from trigsum.coefficients import cot_coeff, csc_coeff
+from trigsum.coefficients import apostol_coeff_table, cot_coeff, csc_coeff
 from trigsum.multiindex import enumerate_compositions
 from trigsum.errors import NumericError, ParameterError
-from trigsum.families import WALK_CACHE_SIZE, pole_order, reduced_shifts
+from trigsum.families import WALK_CACHE_SIZE, frequency_fold, pole_order, reduced_shifts
 from trigsum.oracle import _factor_rows, _pole_distance, _prefix_row
 from trigsum.residue_engine import _kernels, _numerators, _singular_power
-from trigsum.trig import cos_pi, csc_pi, quarter_turns, sec_pi, sin_pi
+from trigsum.trig import cos_pi, csc_pi, phase, quarter_turns, sec_pi, sin_pi
 
 from mp_reference import prefix_vanishes, reference_sum
 
@@ -170,28 +170,63 @@ def test_theorem_n1_reduction_random_specs():
         checked += 1
 
 
-def test_theorem_imag_residual_bound():
-    rng = random.Random(905)
-    checked = 0
-    while checked < 60:
-        family = rng.choice(list(POWER_FAMILIES))
-        d = rng.randint(2, 10)
-        m = rng.randint(1, d - 1)
-        if TRAITS[family].odd_m and m % 2 == 0:
-            continue
-        try:
-            spec = validate_params(SumSpec(family, d, m, rng.uniform(0.02, 0.98), rng.randint(1, 3)))
-        except ParameterError:
-            continue
-        out = multi_index(spec)
-        assert out.imag_residual <= 1e-9 * max(1.0, abs(out.value))
-        checked += 1
+def _two_branch_theorem(spec):
+    """-sum m^mu/mu! * (x1*G + x1'*H), both branches in complex arithmetic.
+
+    H is the second branch's slice entry: the kernel at phase(+2db), the
+    combination sign (minus for the cos prefix) and (-1)^(mu+nu).
+    """
+    traits = TRAITS[spec.family]
+    m, fold_sign = frequency_fold(spec)
+    if m is None:
+        return 0.0
+    d, b, p = spec.d, reduced_shifts(spec)[0], pole_order(spec.family, spec.n)
+    kernel = apostol_coeff_table(p - 1, phase(-2.0 * d * b))
+    kernel_c = apostol_coeff_table(p - 1, phase(2.0 * d * b))
+    cos_prefix = traits.prefix == "cos"
+    sign = -1.0 if cos_prefix else 1.0
+    x1 = phase(-m * (b - 1.0) if traits.odd_m else -2.0 * m * b)
+    x1c = x1.conjugate()
+    acc = 0j
+    for mu, nu, w in _composition_weights(traits.shift_kind, p):
+        ip = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[(mu + nu + cos_prefix) % 4]
+        two = 2.0 ** (nu if traits.odd_m else mu + nu)
+        c = ip * two * (d ** (nu + 1) / math.factorial(nu)) * w
+        g = c * kernel[nu]
+        h = c * sign * (-1.0) ** (mu + nu) * kernel_c[nu]
+        acc += (m ** mu / math.factorial(mu)) * (x1 * g + x1c * h)
+    # the branches are exact conjugates, so nothing imaginary is left
+    assert acc.imag == 0.0, spec
+    return -fold_sign * acc.real + 0.0
+
+
+def test_one_branch_theorem_is_the_two_branch_sum():
+    # 2 Re of the first branch gives the two-branch sum's bits
+    rng = random.Random(12)
+    cells = [(family, n) for family in POWER_FAMILIES for n in range(2, 5)]
+    cells += [(family, n) for family in (Family.COS_COT, Family.SIN_COT) for n in (5, 6)]
+    folded = 0
+    for family, n in cells:
+        checked = 0
+        while checked < 8:
+            d = rng.randint(3, 60)
+            # every second spec takes m above d/2, the frequency fold's half
+            m = rng.randint(d // 2 + 1, d - 1) if checked % 2 else rng.randint(1, d - 1)
+            b = rng.uniform(-1.0, 1.0) + (1e9 if checked < 2 else 0.0)
+            try:
+                spec = validate_params(SumSpec(family, d, m, b, n))
+            except ParameterError:
+                continue
+            assert multi_index(spec).value.hex() == _two_branch_theorem(spec).hex(), spec
+            folded += frequency_fold(spec)[0] != m
+            checked += 1
+    assert folded >= 60
 
 
 # --- the frequency-free slice cache ------------------------------------------
 
 def _bits(value):
-    return value.value.hex(), value.imag_residual.hex()
+    return value.value.hex()
 
 
 def test_slice_cache_cold_and_warm_give_the_same_bits():

@@ -38,6 +38,8 @@ CASES = (
      {"closed": (D2, 6.3), "oracle": None, "residue": (D2, 6.3)}),
     ("sin-csc-2n-n4-d48", SumSpec(Family.SIN_CSC_2N, 48, 34, 1.0208333336309594, 4),
      {"closed": (D2, 7.6e-10), "oracle": (D8, 4.0e-6), "residue": (D2, 7.6e-10)}),
+    ("sin-cot-n3-d10", SumSpec(Family.SIN_COT, 10, 3, 1e-7, 3),
+     {"closed": (D2, 4.3e5), "oracle": None, "residue": (D2, 4.3e5)}),
     ("sin-csc-sec-d33",
      SumSpec(Family.SIN_CSC_SEC, 33, 12, 7.41389488289057e-05, 1, 0.4999372138948829),
      {"closed": (D9, 2.7e-8), "oracle": None}),

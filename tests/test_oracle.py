@@ -253,32 +253,38 @@ def test_prefix_rows_match_the_direct_loop_entry_by_entry():
 @pytest.mark.parametrize("family", list(Family))
 def test_rows_cold_and_warm_give_the_same_bits(family):
     specs = walk_specs(family)
-    for spec in specs:
-        want = (kahan(loop_terms(spec)).hex(), math.fsum(map(abs, loop_terms(spec))).hex())
+    wants = [(kahan(loop_terms(spec)).hex(), math.fsum(map(abs, loop_terms(spec))).hex())
+             for spec in specs]
+    for spec, want in zip(specs, wants):
         # with the walk ended and every walk cache empty
         enter_walk(None)
         assert oracle_bits(spec) == want, spec
         # on the walk with every walk cache empty again
         enter_walk(family)
         assert oracle_bits(spec) == want, spec
-        # after a sweep over m and n has filled the caches
-        for other in specs:
-            oracle_bits(other)
-        assert oracle_bits(spec) == want, spec
+    # a sweep over m and n, as verify walks it: each spec reads the rows
+    # the specs before it built, then every spec again from filled caches
+    enter_walk(None)
+    for _ in range(2):
+        for spec, want in zip(specs, wants):
+            assert oracle_bits(spec) == want, spec
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_conditioning_cold_and_warm_equals_a_plain_scan(family):
     specs = walk_specs(family)
-    for spec in specs:
-        want = loop_distance(spec).hex()
+    wants = [loop_distance(spec).hex() for spec in specs]
+    for spec, want in zip(specs, wants):
         # with every walk cache empty
         enter_walk(None)
         assert conditioning(spec).hex() == want, spec
-        # after a sweep over m and n, and the sums, have filled the caches
-        for other in specs:
-            conditioning(other)
-            direct_sum(other)
+    # a sweep over m and n, with the sums filling the caches as well, then
+    # every spec again from filled caches
+    enter_walk(None)
+    for spec, want in zip(specs, wants):
+        assert conditioning(spec).hex() == want, spec
+        direct_sum(spec)
+    for spec, want in zip(specs, wants):
         assert conditioning(spec).hex() == want, spec
 
 

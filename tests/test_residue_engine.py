@@ -372,14 +372,13 @@ def test_singular_power_cold_and_warm_give_the_same_bits():
                 sum_via_residues(other)
             assert _singular_power.cache_info().currsize == 1
             warm = sum_via_residues(spec)
-            assert (warm.value.hex(), warm.imag_residual.hex()) == \
-                (cold.value.hex(), cold.imag_residual.hex()), spec
+            assert warm.value.hex() == cold.value.hex(), spec
 
 
 def _residue_bits(spec):
     value = sum_via_residues(spec)
     res = residue_at_interior_pole(spec)
-    return value.value.hex(), value.imag_residual.hex(), res.real.hex(), res.imag.hex()
+    return value.value.hex(), res.real.hex(), res.imag.hex()
 
 
 def test_kernels_cold_and_warm_give_the_same_bits():
@@ -433,9 +432,9 @@ def test_a_sweep_over_m_builds_each_kernel_once(monkeypatch):
         values = [sum_via_residues(spec).value.hex() for spec in specs]
         passes.append((len(built), values))
     assert passes[0] == passes[1] == passes[2]
-    # two branches per (family, pole order, d, b), whatever the number of m
+    # one kernel per (family, pole order, d, b), whatever the number of m
     kernels = {(s.family, s.d) + _integrand(s)[1:3] for s in specs}
-    assert passes[0][0] == 2 * len(kernels) < len(specs)
+    assert passes[0][0] == len(kernels) < len(specs)
 
 
 def test_warm_kernels_keep_the_coefficient_cap(monkeypatch):

@@ -26,9 +26,9 @@ def test_value_digest_cold_equals_warm(capsys):
 PINNED_DIGESTS = {
     "conditioning": "1a5744351cee3ec7c0e39e53bc8c8ebfd7afe11833382cd064ba14076b29637e",
     "term_magnitude_sum": "36e8d12890ca40e055a099203efc0cf6078c3ddfc4dab2b42bdc3fcc29b54b69",
-    "closed_form_value": "c41b5a7c5b6832358204da79e5d6d7450587b49597fd296528ef87c7ec99cb26",
-    "direct_sum": "28279e5cfed2b2a94bdbbf32432b899dab6e8f8677cef390b0051ab290fe288b",
-    "sum_via_residues": "12cab4a421b8c8146f3c471a9ff65f7179fd1c5ff033d28fc077863ac2f5e06c",
+    "closed_form_value": "5453b31d9fb111da2b7eb5e6c020fb4db291d7b61ab9f554f913c392351eeba6",
+    "direct_sum": "d73ae7b72bbe2e8a5aeb23f56f5524bcb0ac0ab418f3694cee47696506b4c6ba",
+    "sum_via_residues": "38fbbde1a0c0d8e60e1914893838f7f3782a430610d93dbd80bebb71921363ff",
 }
 
 
@@ -65,7 +65,7 @@ def test_accuracy_scan_on_the_oracle(capsys):
 def test_accuracy_scan_counts_a_nonfinite_value_above_the_bound(capsys, monkeypatch, bad):
     pytest.importorskip("mpmath")
     scan = runpy.run_path(str(SCRIPTS / "accuracy_scan.py"))
-    monkeypatch.setitem(scan["PATH_FUNCTIONS"], "oracle", lambda spec: SumValue(bad, 0.0, "oracle"))
+    monkeypatch.setitem(scan["PATH_FUNCTIONS"], "oracle", lambda spec: SumValue(bad, "oracle"))
     assert scan["main"](["--dmax", "4", "--nmax", "1", "--every", "40", "--draws", "1",
                          "--paths", "oracle"]) == 1
     lines = capsys.readouterr().out.splitlines()
