@@ -58,8 +58,9 @@ tuples once per n.
 closed_form_value, the one public entry, validates its spec once and
 reduces b and b2 by the family's shift period (families.reduced_shifts)
 before any product such as m*b or d*b is formed; the helpers below work
-on the reduced shifts. Shift arguments are handled in half-turn units
-and reduced again before the factor of pi.
+on the reduced shifts and return a float, which it records at every n
+as one SumValue labelled "closed-form". Shift arguments are handled in
+half-turn units and reduced again before the factor of pi.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ from .multiindex import cot_coeff_product, csc_coeff_product, enumerate_composit
 from .trig import QUARTER_TURNS, cos_pi, csc_pi, phase, quarter_turns, sin_pi
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _real_value(x: float) -> SumValue:
-    return SumValue(x + 0.0, "closed-form")
 
 
 def _cot_sum(prefix: str, d: int, s: int, b: float, k: int) -> float:
@@ -178,21 +175,20 @@ def _power_slice(family: Family, d: int, b: float, n: int) -> tuple[tuple[int, c
     return tuple(out)
 
 
-def _theorem(spec: SumSpec, b: float) -> SumValue:
+def _theorem(spec: SumSpec, b: float) -> float:
     """The multi-index value of a validated power-family spec whose shift, reduced, is b.
 
     It adds m^mu/mu! * 2 Re(x1*G) over the slice in real arithmetic: the
     second branch is the conjugate of x1*G (see the module docstring), so
     the pair sums to twice its real part. Cold and warm calls take the
-    same arithmetic.
+    same arithmetic. closed_form_value calls it above n = 1 only, where
+    no spec is the classical point.
     """
     enter_walk(spec.family)
     traits = TRAITS[spec.family]
-    if is_classical(spec):
-        return SumValue(float(spec.d - 2 * spec.m), "multi-index")
     m, fold_sign = frequency_fold(spec)
     if m is None:
-        return SumValue(0.0, "multi-index")
+        return 0.0
     # cached weights and slices skip the coefficient calls, so the cap is checked here
     check_index(pole_order(spec.family, spec.n) - 1, "apostol_coeff")
     x1 = phase(-m * (b - 1.0) if traits.odd_m else -2.0 * m * b)
@@ -200,7 +196,7 @@ def _theorem(spec: SumSpec, b: float) -> SumValue:
     for mu, g in _power_slice(spec.family, spec.d, b, spec.n):
         zr = (x1 * g).real
         acc += (m ** mu / math.factorial(mu)) * (zr + zr)
-    return SumValue(-fold_sign * acc + 0.0, "multi-index")
+    return -fold_sign * acc
 
 
 def closed_form_value(spec: SumSpec) -> SumValue:
@@ -208,5 +204,7 @@ def closed_form_value(spec: SumSpec) -> SumValue:
     spec = validate_params(spec)
     b, b2 = reduced_shifts(spec)
     if spec.n == 1:
-        return _real_value(_first_power(spec, TRAITS[spec.family], b, b2))
-    return _theorem(spec, b)
+        value = _first_power(spec, TRAITS[spec.family], b, b2)
+    else:
+        value = _theorem(spec, b)
+    return SumValue(value + 0.0, "closed-form")

@@ -225,17 +225,18 @@ def frequency_fold(spec: SumSpec) -> tuple[int | None, float]:
     """Exact m <-> d-m reduction for the full-turn-prefix families.
 
     The prefix cos(2 pi m j/d) is invariant under m -> d-m and the sine
-    prefix flips sign, while no other factor involves m; at 2m = d every
-    sine prefix is sin(pi j) = 0 termwise. Evaluating the multi-index
-    and residue paths at min(m, d-m) keeps their internal cancellation
-    bounded. Returns (m_to_evaluate, sign), with d, b and n unchanged; a
-    None m means the sum is identically zero. Not applicable to the
-    half-turn-prefix (odd-m) families or the doubled-range families,
-    whose prefix does not close under the reflection: those keep m.
+    prefix flips sign, for every integer j and so over the doubled range
+    too, while no other factor involves m; at 2m = d every sine prefix
+    is sin(pi j) = 0 termwise. Evaluating the multi-index and residue
+    paths at min(m, d-m) keeps their internal cancellation bounded.
+    Returns (m_to_evaluate, sign), with d, b and n unchanged; a None m
+    means the sum is identically zero. Not applicable to the
+    half-turn-prefix (odd-m) families, whose prefix does not close under
+    the reflection: those keep m.
     """
     traits = TRAITS[spec.family]
     m = spec.m
-    if traits.odd_m or traits.kind == "double" or 2 * m < spec.d:
+    if traits.odd_m or 2 * m < spec.d:
         return m, 1.0
     sin_prefix = traits.prefix == "sin"
     if 2 * m == spec.d:

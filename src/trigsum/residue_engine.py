@@ -60,7 +60,8 @@ from .families import (
     validate_params,
     walk_cache,
 )
-from .trig import QUARTER_TURNS, cot_pi, csc_pi, phase, phase_ratio, quarter_turns
+from .trig import (QUARTER_TURNS, cos_pi_ratio, cot_pi, csc_pi, phase, quarter_turns,
+                   sin_pi_ratio)
 
 # a member read as Family.NAME goes through EnumType's __getattr__ hook,
 # about 0.2 us on CPython 3.11; every product-family residue reads one
@@ -263,6 +264,9 @@ def boundary_residues(spec: SumSpec) -> tuple[complex, ...]:
     Each equals term_j/(pi*i*d) for cos-prefixed families and
     term_j/(pi*d) for sin-prefixed ones, term_j being the j-th summand
     of the integrand's power family, times the constant of _integrand.
+    The two branches' phases at j/d are conjugate, so, as at the
+    interior pole, their pair is twice the prefix's cos or sin ratio and
+    only that ratio is formed.
     """
     spec = validate_params(spec)
     family, p, b, constant = _integrand(spec)
@@ -270,15 +274,13 @@ def boundary_residues(spec: SumSpec) -> tuple[complex, ...]:
     d, m = spec.d, spec.m
     beta = math.remainder(b, float(traits.shift_period))
     base = cot_pi if traits.shift_kind == "cot" else csc_pi
-    out = []
-    for j in range(d):
-        factor = base(j / d + beta) ** p
-        num = (m if traits.odd_m else 2 * m) * j
-        plus = phase_ratio(num, d) * factor
-        minus = phase_ratio(-num, d) * factor
-        both = plus + minus if traits.prefix == "cos" else plus - minus
-        out.append(constant * (both / (2j * math.pi * d)))
-    return tuple(out)
+    if traits.prefix == "cos":
+        ratio, scale = cos_pi_ratio, 1j * math.pi * d
+    else:
+        ratio, scale = sin_pi_ratio, complex(math.pi * d)
+    freq = m if traits.odd_m else 2 * m
+    return tuple([constant * (ratio(freq * j, d) * base(j / d + beta) ** p / scale)
+                  for j in range(d)])
 
 
 def sum_via_residues(spec: SumSpec) -> SumValue:

@@ -167,7 +167,3 @@ def cos_pi_ratio(num: int, den: int) -> float:
         s = -1.0
     return s * math.cos(math.pi * k / den)
 
-
-def phase_ratio(num: int, den: int) -> complex:
-    """e^{i*pi*num/den} from the integer-folded sin and cos."""
-    return complex(cos_pi_ratio(num, den), sin_pi_ratio(num, den))

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -504,11 +506,17 @@ def test_non_finite_shift_is_a_usage_error(capsys, argv):
 
 
 def test_module_entry_point():
+    # the checkout's src goes first, so the subprocess runs this trigsum
+    # even where another one is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "trigsum", "eval", "--family", "cos-cot",
          "--d", "2", "--m", "1", "--b", "0.25"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.0"

@@ -38,7 +38,7 @@ def rel_err(got, want):
 
 
 def multi_index(spec):
-    """The multi-index layer's value at any power, the first included."""
+    """The multi-index layer's value, a float, at any power but the classical point's."""
     spec = validate_params(spec)
     return closed_form._theorem(spec, reduced_shifts(spec)[0])
 
@@ -131,12 +131,21 @@ def test_classical_dispensation_value():
     assert closed_form_value(SumSpec(Family.SIN_COT, 5, 2, 0.0)).value == 1.0
 
 
+def test_closed_form_labels_every_power_alike():
+    # one label for the path, whichever layer gives the value
+    for family in Family:
+        b2 = 0.447 if TRAITS[family].kind == "triple" else None
+        for n in range(1, 5 if TRAITS[family].supports_power else 2):
+            assert closed_form_value(SumSpec(family, 7, 3, 0.137, n, b2)).path == "closed-form"
+    assert closed_form_value(SumSpec(Family.SIN_COT, 5, 2, 0.0)).path == "closed-form"
+
+
 # --- theorem (multi-index) values -------------------------------------------
 
 def test_theorem_n1_matches_corollary_exactly_on_quarter_turn():
     spec = SumSpec(Family.COS_COT, 2, 1, 0.25)
-    assert multi_index(spec).value == 2.0
-    assert multi_index(spec).value == closed_form_value(spec).value
+    assert multi_index(spec) == 2.0
+    assert multi_index(spec) == closed_form_value(spec).value
 
 
 def test_theorem_n2_cancellation():
@@ -145,7 +154,7 @@ def test_theorem_n2_cancellation():
 
 
 def test_theorem_even_cosec_example():
-    got = multi_index(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25)).value
+    got = multi_index(SumSpec(Family.SIN_CSC_2N, 3, 1, 0.25))
     assert got == pytest.approx(-12.0, rel=1e-12)
 
 
@@ -164,7 +173,7 @@ def test_theorem_n1_reduction_random_specs():
             spec = validate_params(SumSpec(family, d, m, b))
         except ParameterError:
             continue
-        t = multi_index(spec).value
+        t = multi_index(spec)
         c = closed_form_value(spec).value
         assert rel_err(t, c) <= 1e-12, (spec, t, c)
         checked += 1
@@ -217,7 +226,7 @@ def test_one_branch_theorem_is_the_two_branch_sum():
                 spec = validate_params(SumSpec(family, d, m, b, n))
             except ParameterError:
                 continue
-            assert multi_index(spec).value.hex() == _two_branch_theorem(spec).hex(), spec
+            assert multi_index(spec).hex() == _two_branch_theorem(spec).hex(), spec
             folded += frequency_fold(spec)[0] != m
             checked += 1
     assert folded >= 60

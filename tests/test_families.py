@@ -1,11 +1,12 @@
 """Family catalog: the traits each family's description yields, validation and the fold."""
 
 import dataclasses
+import random
 
 import pytest
 
 import trigsum
-from trigsum import families
+from trigsum import direct_sum, families
 from trigsum.errors import ParameterError
 from trigsum.families import (TRAITS, Family, FamilyTraits, SumSpec, frequency_fold,
                               validate_params)
@@ -159,7 +160,32 @@ def test_frequency_fold_reflects_m_above_half_of_d():
         assert frequency_fold(SumSpec(family, 8, 4, 0.137, 1, b2)) == want
 
 
-def test_frequency_fold_leaves_odd_m_and_doubled_range_families_alone():
-    for family in (Family.SIN_CSC_ODD, Family.COS_CSC_ODD, Family.COS_COT_2D, Family.SIN_COT_2D):
+def test_frequency_fold_leaves_odd_m_families_alone():
+    for family in (Family.SIN_CSC_ODD, Family.COS_CSC_ODD):
         for d, m in ((8, 3), (8, 5), (8, 7), (10, 5), (9, 1)):
             assert frequency_fold(SumSpec(family, d, m, 0.137)) == (m, 1.0), (family, d, m)
+
+
+def test_frequency_fold_folds_the_doubled_range_as_the_single():
+    # cos(2 pi (d - m) j/d) = cos(2 pi m j/d) for every integer j, so over
+    # 2d terms as over d: the doubled range folds as its single-range twin
+    for double, single in ((Family.COS_COT_2D, Family.COS_COT), (Family.SIN_COT_2D, Family.SIN_COT)):
+        for d, m in ((8, 3), (8, 5), (8, 7), (10, 5), (9, 1), (9, 8), (2, 1)):
+            got = frequency_fold(SumSpec(double, d, m, 0.137))
+            assert got == frequency_fold(SumSpec(single, d, m, 0.137)), (double, d, m)
+    # and the oracle, which sums the defining terms, sees the same fold, exactly
+    rng = random.Random(2)
+    checked = 0
+    while checked < 200:
+        family = rng.choice((Family.COS_COT_2D, Family.SIN_COT_2D))
+        d = rng.randint(2, 40)
+        m = rng.randint((d + 1) // 2, d - 1)
+        b = rng.uniform(-1.0, 1.0) + (1e9 if checked % 4 == 0 else 0.0)
+        try:
+            spec = validate_params(SumSpec(family, d, m, b))
+        except ParameterError:
+            continue
+        folded_m, sign = frequency_fold(spec)
+        want = 0.0 if folded_m is None else sign * direct_sum(SumSpec(family, d, folded_m, b)).value
+        assert direct_sum(spec).value == want, spec
+        checked += 1

@@ -40,6 +40,15 @@ CASES = (
      {"closed": (D2, 7.6e-10), "oracle": (D8, 4.0e-6), "residue": (D2, 7.6e-10)}),
     ("sin-cot-n3-d10", SumSpec(Family.SIN_COT, 10, 3, 1e-7, 3),
      {"closed": (D2, 4.3e5), "oracle": None, "residue": (D2, 4.3e5)}),
+    # the first is sweep-deep's failure (with its m = 6 twin) and trips
+    # verify --dmax 8 --nmax 4, though dist(d*b, Z) = 0.096; the other two
+    # take sweep-wide seed 2's offset
+    ("cos-csc-2n-n4-d8", SumSpec(Family.COS_CSC_2N, 8, 2, 0.137, 4),
+     {"closed": (D2, 4.3e-8), "oracle": None, "residue": (D2, 4.4e-8)}),
+    ("sin-csc-2n-n2-d12", SumSpec(Family.SIN_CSC_2N, 12, 3, 0.8335246345312256, 2),
+     {"closed": (D2, 7.2e-3), "oracle": None, "residue": (D2, 7.2e-3)}),
+    ("cos-csc-odd-n2-d6", SumSpec(Family.COS_CSC_ODD, 6, 3, 0.8335246345312256, 2),
+     {"closed": (D2, 4.8e-6), "oracle": None, "residue": (D2, 4.8e-6)}),
     ("sin-csc-sec-d33",
      SumSpec(Family.SIN_CSC_SEC, 33, 12, 7.41389488289057e-05, 1, 0.4999372138948829),
      {"closed": (D9, 2.7e-8), "oracle": None}),

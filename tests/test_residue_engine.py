@@ -33,7 +33,8 @@ from trigsum.families import frequency_fold, pole_order, reduced_shifts
 from trigsum import residue_engine
 from trigsum.residue_engine import (LaurentSeries, _integrand, _kernels, _numerators, _singular_power,
                                     expand_factor, series_mul, series_pow)
-from trigsum.trig import QUARTER_TURNS, phase, quarter_turns
+from trigsum.trig import (QUARTER_TURNS, cos_pi_ratio, cot_pi, csc_pi, phase, quarter_turns,
+                          sin_pi_ratio)
 
 
 def series(min_degree, coeffs):
@@ -274,13 +275,61 @@ def test_boundary_residue_examples():
 
 
 def test_boundary_residue_at_zero_identity():
-    from trigsum.trig import cot_pi
-
     for n in (1, 2, 3):
         for d, b in ((3, 0.21), (7, 0.137), (5, -0.29)):
             got = boundary_residues(SumSpec(Family.COS_COT, d, 1, b, n))[0]
             want = cot_pi(b) ** n / (math.pi * 1j * d)
             assert abs(got - want) <= 1e-10 * abs(want), (n, d, b)
+
+
+def _two_branch_boundary_residues(spec):
+    """Res(f, j/d) with both branches formed: e^(+-i pi num/d) times the factor,
+    added (cos prefix) or subtracted (sin prefix), over 2 pi i d."""
+    family, p, b, constant = _integrand(validate_params(spec))
+    traits = TRAITS[family]
+    d = spec.d
+    beta = math.remainder(b, float(traits.shift_period))
+    base = cot_pi if traits.shift_kind == "cot" else csc_pi
+    out = []
+    for j in range(d):
+        factor = base(j / d + beta) ** p
+        num = (spec.m if traits.odd_m else 2 * spec.m) * j
+        plus = complex(cos_pi_ratio(num, d), sin_pi_ratio(num, d)) * factor
+        minus = complex(cos_pi_ratio(-num, d), sin_pi_ratio(-num, d)) * factor
+        both = plus + minus if traits.prefix == "cos" else plus - minus
+        out.append(constant * (both / (2j * math.pi * d)))
+    return tuple(out)
+
+
+def test_one_branch_boundary_residues_are_the_two_branch_ones():
+    # the branches' phases at j/d are exact conjugates, so one ratio gives
+    # the pair; == since the sign of a zero part may differ
+    rng = random.Random(26)
+    counts = dict.fromkeys(RESIDUE_FAMILIES, 0)
+    checked = 0
+    while checked < 3000:
+        family = rng.choice(RESIDUE_FAMILIES)
+        traits = TRAITS[family]
+        d = rng.randint(2, 80)
+        m = rng.randint(1, d - 1)
+        if traits.odd_m and m % 2 == 0:
+            continue
+        n = 1 if traits.kind == "triple" else rng.randint(1, 5)
+        shape = checked % 3
+        if shape == 0:
+            # near the lattice: d*b within 1e-7..1e-2 of an integer
+            b = (rng.randint(-d, d) + rng.choice((-1, 1)) * 10 ** rng.uniform(-7, -2)) / d
+        else:
+            b = rng.uniform(-1.0, 1.0) + (1e9 if shape == 2 else 0.0)
+        b2 = rng.uniform(-1.0, 1.0) if traits.kind == "triple" else None
+        try:
+            spec = validate_params(SumSpec(family, d, m, b, n, b2))
+        except ParameterError:
+            continue
+        assert boundary_residues(spec) == _two_branch_boundary_residues(spec), spec
+        counts[family] += 1
+        checked += 1
+    assert min(counts.values()) >= 150, counts
 
 
 def test_interior_residue_matches_multi_index_path():

@@ -26,7 +26,7 @@ def test_value_digest_cold_equals_warm(capsys):
 PINNED_DIGESTS = {
     "conditioning": "1a5744351cee3ec7c0e39e53bc8c8ebfd7afe11833382cd064ba14076b29637e",
     "term_magnitude_sum": "36e8d12890ca40e055a099203efc0cf6078c3ddfc4dab2b42bdc3fcc29b54b69",
-    "closed_form_value": "5453b31d9fb111da2b7eb5e6c020fb4db291d7b61ab9f554f913c392351eeba6",
+    "closed_form_value": "f18c9588013e4ccbb6bfab033c3557e6396b83239bc226c6e6f87b228a85b23b",
     "direct_sum": "d73ae7b72bbe2e8a5aeb23f56f5524bcb0ac0ab418f3694cee47696506b4c6ba",
     "sum_via_residues": "38fbbde1a0c0d8e60e1914893838f7f3782a430610d93dbd80bebb71921363ff",
 }
