@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import ParameterError
-from .trig import dist_to_int, dist_to_odd
+from .trig import dist_to_half_odd, dist_to_int
 
 EPS_EXCL = 1e-8
 
@@ -261,7 +261,7 @@ def _check_shift(family: Family, kind: str, beta: float, d: int, name: str) -> N
                 f"{EPS_EXCL:g} of an integer (excluded for {family.value}, even d)"
             )
     else:
-        if dist_to_odd(2.0 * beta * d) <= EPS_EXCL:
+        if 2.0 * dist_to_half_odd(beta * d) <= EPS_EXCL:
             raise ParameterError(
                 f"parameter on singular set: 2*{name}*d = {2.0 * beta * d!r} is within "
                 f"{EPS_EXCL:g} of an odd integer (excluded for {family.value}, odd d)"

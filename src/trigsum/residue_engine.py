@@ -8,7 +8,8 @@ to zero, which pins the sum of interest to the single interior residue:
     sum = -(pi*i*d) * Res(f, 1-b)   for cos-prefixed families,
     sum = -(pi*d)   * Res(f, 1-b)   for sin-prefixed families,
 
-while the boundary residues at z = j/d reproduce the individual terms.
+while the boundary residue at z = j/d is the j-th term over the same
+scale: boundary_residues reads the oracle's terms, and the sum never does.
 The integrand has two branches, x1 e^{aw} times the kernel
 1/(t e^{cw} - 1) and x1' e^{-aw} times the kernel at t' and -c (a and
 c imaginary, x1' and t' the conjugate phases), added under the sin
@@ -60,8 +61,8 @@ from .families import (
     validate_params,
     walk_cache,
 )
-from .trig import (QUARTER_TURNS, cos_pi_ratio, cot_pi, csc_pi, phase, quarter_turns,
-                   sin_pi_ratio)
+from .oracle import _terms
+from .trig import QUARTER_TURNS, phase, quarter_turns
 
 # a member read as Family.NAME goes through EnumType's __getattr__ hook,
 # about 0.2 us on CPython 3.11; every product-family residue reads one
@@ -259,28 +260,23 @@ def residue_at_interior_pole(spec: SumSpec) -> complex:
 
 
 def boundary_residues(spec: SumSpec) -> tuple[complex, ...]:
-    """Res(f, j/d) for j = 0..d-1, from the simple-pole quotient.
+    """Res(f, j/d) for j = 0..d-1: the integrand's j-th term over its scale.
 
-    Each equals term_j/(pi*i*d) for cos-prefixed families and
-    term_j/(pi*d) for sin-prefixed ones, term_j being the j-th summand
-    of the integrand's power family, times the constant of _integrand.
-    The two branches' phases at j/d are conjugate, so, as at the
-    interior pole, their pair is twice the prefix's cos or sin ratio and
-    only that ratio is formed.
+    That is term_j/(pi*i*d) for cos-prefixed families and term_j/(pi*d)
+    for sin-prefixed ones, times the constant of _integrand, term_j being
+    the oracle's term of the integrand's power family at the reduced b.
+    The oracle's range starts at 1 under a sin prefix, which is 0 at j = 0.
     """
     spec = validate_params(spec)
-    family, p, b, constant = _integrand(spec)
-    traits = TRAITS[family]
-    d, m = spec.d, spec.m
-    beta = math.remainder(b, float(traits.shift_period))
-    base = cot_pi if traits.shift_kind == "cot" else csc_pi
-    if traits.prefix == "cos":
-        ratio, scale = cos_pi_ratio, 1j * math.pi * d
+    family, _, b, constant = _integrand(spec)
+    # valid: a product family's n is 1, and cot shares its csc's excluded b
+    terms = _terms(SumSpec(family, spec.d, spec.m, b, spec.n))
+    if TRAITS[family].prefix == "cos":
+        scale = 1j * math.pi * spec.d
     else:
-        ratio, scale = sin_pi_ratio, complex(math.pi * d)
-    freq = m if traits.odd_m else 2 * m
-    return tuple([constant * (ratio(freq * j, d) * base(j / d + beta) ** p / scale)
-                  for j in range(d)])
+        scale = complex(math.pi * spec.d)
+        terms = (0.0, *terms)
+    return tuple([constant * (term / scale) for term in terms])
 
 
 def sum_via_residues(spec: SumSpec) -> SumValue:

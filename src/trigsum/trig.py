@@ -59,11 +59,6 @@ def dist_to_half_odd(x: float) -> float:
     return abs(math.remainder(x - 0.5, 1.0))
 
 
-def dist_to_odd(x: float) -> float:
-    """Distance from x to the nearest odd integer."""
-    return abs(math.remainder(x - 1.0, 2.0))
-
-
 def _pole_error(name: str, x: float) -> NumericError:
     return NumericError(
         f"singular term: {name} argument {x!r} (half turns) is within "

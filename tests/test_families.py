@@ -146,6 +146,23 @@ def test_a_family_label_is_still_converted():
     assert validate_params(spec) is spec
 
 
+def test_the_tan_and_sec_exclusion_edges_at_both_parities():
+    # an even d excludes b*d within EPS_EXCL of an integer; an odd d excludes
+    # 2*b*d within EPS_EXCL of an odd integer, so b*d within half of it of k + 1/2
+    odd, even = r"of an odd integer \(excluded for {}, odd d\)", r"of an integer \(excluded for {}, even d\)"
+    for family in (Family.SIN_TAN, Family.COS_TAN):
+        for sign in (1.0, -1.0):
+            with pytest.raises(ParameterError, match=odd.format(family.value)):
+                validate_params(SumSpec(family, 5, 1, sign * (2.5 + 4e-9) / 5))
+            validate_params(SumSpec(family, 5, 1, sign * (2.5 + 6e-9) / 5))
+        with pytest.raises(ParameterError, match=even.format(family.value)):
+            validate_params(SumSpec(family, 4, 1, (1 + 9e-9) / 4))
+        validate_params(SumSpec(family, 4, 1, (1 + 1.1e-8) / 4))
+    with pytest.raises(ParameterError, match=odd.format("cos-csc-sec")):
+        validate_params(SumSpec(Family.COS_CSC_SEC, 7, 2, 0.137, 1, (3.5 + 4e-9) / 7))
+    validate_params(SumSpec(Family.COS_CSC_SEC, 7, 2, 0.137, 1, (3.5 + 6e-9) / 7))
+
+
 # --- the frequency fold ------------------------------------------------------
 
 def test_frequency_fold_reflects_m_above_half_of_d():

@@ -49,6 +49,16 @@ CASES = (
      {"closed": (D2, 7.2e-3), "oracle": None, "residue": (D2, 7.2e-3)}),
     ("cos-csc-odd-n2-d6", SumSpec(Family.COS_CSC_ODD, 6, 3, 0.8335246345312256, 2),
      {"closed": (D2, 4.8e-6), "oracle": None, "residue": (D2, 4.8e-6)}),
+    # the perfbench eval-random workload's failures in the first two passes
+    # of seeds 1-3
+    ("sin-csc-2n-n3-d3", SumSpec(Family.SIN_CSC_2N, 3, 1, 0.9983118179001756, 3),
+     {"closed": (D2, 2.0e-1), "oracle": None, "residue": (D2, 2.0e-1)}),
+    ("sin-cot-n4-d130", SumSpec(Family.SIN_COT, 130, 25, 0.19998070355814246, 4),
+     {"closed": (D2, 7.7e-3), "oracle": None, "residue": (D2, 7.6e-3)}),
+    ("cos-csc-2n-n2-d32", SumSpec(Family.COS_CSC_2N, 32, 18, 0.37526628933188, 2),
+     {"closed": (D2, 2.6e-5), "oracle": None, "residue": (D2, 2.5e-5)}),
+    ("cos-csc-odd-n4-d4", SumSpec(Family.COS_CSC_ODD, 4, 3, 0.5047663495835667, 4),
+     {"closed": (D2, 1.4e-4), "oracle": None, "residue": (D2, 1.5e-4)}),
     ("sin-csc-sec-d33",
      SumSpec(Family.SIN_CSC_SEC, 33, 12, 7.41389488289057e-05, 1, 0.4999372138948829),
      {"closed": (D9, 2.7e-8), "oracle": None}),
